@@ -117,7 +117,10 @@ func TestAOTParityEquivalence(t *testing.T) {
 
 // TestAOTParityChunkMatrix: the chunk-tier corpus (strides, empty
 // ranges, nested DOALLs, accumulators, fallbacks) through the native
-// tier at np ∈ {1, 2, 8}.
+// tier at np ∈ {1, 2, 8}, against the chunk tier: the default tier,
+// whose folding of the corpus's shared INTEGER accumulators (S = S + I
+// in a DOALL, race-free by forcevet's FV101 rule) the native code's
+// atomic adds must match exactly.
 func TestAOTParityChunkMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds native binaries with the go toolchain")
@@ -132,18 +135,18 @@ func TestAOTParityChunkMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("np=%d aot: %v", np, err)
 				}
-				ref, err := interpRun(t, prog, np, interp.ExecTree)
+				ref, err := interpRun(t, prog, np, interp.ExecChunked)
 				if err != nil {
-					t.Fatalf("np=%d tree: %v", np, err)
+					t.Fatalf("np=%d chunked: %v", np, err)
 				}
 				got, want := aotSortedLines(native), aotSortedLines(ref)
 				if len(got) != len(want) {
-					t.Fatalf("np=%d: aot %d lines, tree %d lines\naot:\n%s\ntree:\n%s",
+					t.Fatalf("np=%d: aot %d lines, chunked %d lines\naot:\n%s\nchunked:\n%s",
 						np, len(got), len(want), native, ref)
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Errorf("np=%d line %d: aot %q, tree %q", np, i, got[i], want[i])
+						t.Errorf("np=%d line %d: aot %q, chunked %q", np, i, got[i], want[i])
 					}
 				}
 			}

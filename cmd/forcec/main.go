@@ -12,8 +12,10 @@
 //	forcec -go [-pkg main] [-np N] [-selfsched KIND] [-reduce STRAT] [-chunk N] file.force
 //	    Parse and type-check the program and emit Go source targeting
 //	    the runtime library.  -selfsched picks the discipline generated
-//	    for Selfsched DO loops (selfsched-lock by default; "stealing"
-//	    emits code drawing from the engine's work-stealing deques);
+//	    for Selfsched DO loops (guided spans by default;
+//	    "selfsched-lock" is the paper's one iteration per lock
+//	    acquisition, "stealing" draws from the engine's work-stealing
+//	    deques) and, when not the default, for selfscheduled Pcase;
 //	    -reduce picks the strategy the generated force executes global
 //	    reductions with (slots by default; critical, tree, atomic);
 //	    -chunk N bakes a span size into the generated force for the
@@ -77,7 +79,7 @@ func main() {
 		machine  = flag.String("machine", "generic", "machine layer for -expand")
 		pkg      = flag.String("pkg", "main", "package name for -go")
 		np       = flag.Int("np", 4, "default force size baked into -go output")
-		selfK    = flag.String("selfsched", "selfsched-lock", "discipline for Selfsched DO in -go and -cache output")
+		selfK    = flag.String("selfsched", sched.DefaultSelfsched.String(), "discipline for Selfsched DO in -go and -cache output (selfsched-lock: the paper's one iteration per lock)")
 		reduceF  = flag.String("reduce", "slots", "global-reduction strategy in -go and -cache output")
 		barF     = flag.String("barrier", "twolock", "barrier algorithm in -go and -cache output")
 		askforF  = flag.String("askfor", "stealing", "Askfor pool discipline in -go and -cache output")

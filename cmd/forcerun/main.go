@@ -7,8 +7,10 @@
 // sequent, alliant, cray2) or "native" (default); -barrier selects the
 // global barrier algorithm (twolock, sense, tree, tournament,
 // dissemination, cond); -selfsched selects the discipline executing
-// Selfsched DO loops and selfscheduled Pcase (selfsched-lock by default,
-// "stealing" for the engine's work-stealing deques); -askfor selects the
+// Selfsched DO loops (guided spans of ⌈remaining/np⌉ iterations by
+// default, "selfsched-lock" for the paper's one iteration per lock
+// acquisition, "stealing" for the engine's work-stealing deques) and,
+// when not the default, selfscheduled Pcase; -askfor selects the
 // Askfor pool ("stealing" or "monitor"); -reduce selects the strategy
 // executing global reductions (GSUM and friends): "slots" (the default),
 // "critical" (the paper's baseline), "tree" or "atomic".  A file name of
@@ -28,7 +30,8 @@
 // it can prove independent, so output is byte-identical either way;
 // -fuse off restores one barrier per construct for A/B timing.  With
 // -v each fusion decision — what fused, what declined and why — is
-// narrated on standard error, along with the chosen exec tier and
+// narrated on standard error, along with the chosen exec tier, the
+// selfsched discipline and, for the disciplines that take one, the
 // chunk size for the run.
 //
 // Two further spellings select the ahead-of-time native tier
@@ -50,12 +53,13 @@
 // to run, -vet=off skips the analysis.  `forcec -explain FV001` prints
 // the long-form rule behind a code.
 //
-// -chunk N sets the span size for the "chunk"/"stealing" selfsched
-// disciplines (sched.Config.ChunkSize; 0 keeps each discipline's
-// default, 16 for chunked selfscheduling).  It does not change the
-// prescheduled or selfsched-lock/selfsched-atomic span shapes, which
-// are fixed by the discipline; pick -selfsched chunk or -selfsched
-// stealing for -chunk to have an effect.
+// -chunk N sets the span size for the "selfsched-chunk"/"stealing"
+// selfsched disciplines (sched.Config.ChunkSize; 0 keeps each
+// discipline's default, 16 for chunked selfscheduling).  It does not
+// change the prescheduled, guided, tss or selfsched-lock/
+// selfsched-atomic span shapes, which are fixed by the discipline; pick
+// -selfsched selfsched-chunk or -selfsched stealing for -chunk to have
+// an effect.
 //
 // -cpuprofile and -memprofile write pprof profiles (CPU over the whole
 // run, heap at exit — both also on runtime errors) so interpreter hot
@@ -148,7 +152,7 @@ func run() error {
 		np      = flag.Int("np", 4, "number of force processes")
 		machF   = flag.String("machine", "native", "machine profile")
 		barF    = flag.String("barrier", "twolock", "barrier algorithm")
-		selfK   = flag.String("selfsched", "selfsched-lock", "discipline for Selfsched DO and selfscheduled Pcase")
+		selfK   = flag.String("selfsched", sched.DefaultSelfsched.String(), "discipline for Selfsched DO (and for selfscheduled Pcase when not the default); selfsched-lock is the paper's one iteration per lock")
 		askforF = flag.String("askfor", "stealing", "Askfor pool discipline: stealing or monitor")
 		reduceF = flag.String("reduce", "slots", "global-reduction strategy: critical, slots, tree or atomic")
 		execF   = flag.String("exec", "chunked", "execution engine: chunked (chunk-compiled DOALLs), compiled (per-iteration closures) or tree (map-addressed walker)")
@@ -286,19 +290,15 @@ func run() error {
 	}
 	if *verbose {
 		// Narrate the interpreter run the same way tryNative narrates the
-		// native tiers: the chosen engine, the span grain the chunk/stealing
-		// disciplines will use, and — for the chunk tier — every fusion
-		// decision the compiler takes.
-		chunkEff := *chunkN
-		if chunkEff == 0 {
-			chunkEff = 16 // sched.Config default for chunked selfscheduling
-		}
+		// native tiers: the chosen engine, the selfsched discipline (with
+		// its span grain when it takes one), and — for the chunk tier —
+		// every fusion decision the compiler takes.
 		fuseState := "off"
 		if em == interp.ExecChunked && *fuseF == "on" {
 			fuseState = "on"
 		}
-		fmt.Fprintf(os.Stderr, "forcerun: tier %s: np %d, chunk %d, fusion %s\n",
-			em, *np, chunkEff, fuseState)
+		fmt.Fprintf(os.Stderr, "forcerun: tier %s: np %d, selfsched %s, fusion %s\n",
+			em, *np, selfschedNote(sk, *chunkN), fuseState)
 		cfg.FuseLog = func(msg string) {
 			fmt.Fprintf(os.Stderr, "forcerun: fuse: %s\n", msg)
 		}
@@ -320,6 +320,21 @@ func run() error {
 		})
 	}
 	return reportDeadline(interp.Run(prog, cfg), *wallTO)
+}
+
+// selfschedNote names the selfsched discipline for -v, adding the span
+// grain for the two disciplines -chunk sizes; the others fix their own
+// span shapes.
+func selfschedNote(k sched.Kind, chunk int) string {
+	switch {
+	case k == sched.Chunk && chunk == 0:
+		return fmt.Sprintf("%s (chunk 16)", k) // sched.Config default
+	case k == sched.Stealing && chunk == 0:
+		return fmt.Sprintf("%s (chunk n/(8·np))", k) // engine.SpanSource default
+	case k == sched.Chunk || k == sched.Stealing:
+		return fmt.Sprintf("%s (chunk %d)", k, chunk)
+	}
+	return k.String()
 }
 
 // vetProgram runs the forcevet static analyzer over a parsed program.

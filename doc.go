@@ -73,7 +73,10 @@
 //
 //	  - internal/sched provides the loop-scheduling disciplines
 //	    (prescheduled block/cyclic, the paper's lock-based selfscheduling,
-//	    fetch-and-add, chunked, guided, trapezoid, stealing);
+//	    fetch-and-add, chunked, guided, trapezoid, stealing); guided spans
+//	    (sched.DefaultSelfsched) run every tier's Selfsched DO unless a
+//	    -selfsched flag picks another, and the paper's one iteration per
+//	    lock stays available as selfsched-lock;
 //
 //	  - internal/barrier, internal/lock, internal/asyncvar, internal/shm and
 //	    internal/machine model the machine-dependent layer of the paper:

@@ -26,7 +26,7 @@ var heatSource string
 func main() {
 	np := flag.Int("np", 8, "number of force processes")
 	machName := flag.String("machine", "native", "machine profile for execution")
-	selfK := flag.String("selfsched", "selfsched-lock", "discipline for Selfsched DO loops")
+	selfK := flag.String("selfsched", sched.DefaultSelfsched.String(), "discipline for Selfsched DO loops (selfsched-lock: the paper's one iteration per lock)")
 	expand := flag.Bool("expand", false, "also print the macro-pipeline expansion (generic layer)")
 	flag.Parse()
 

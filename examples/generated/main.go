@@ -156,7 +156,7 @@ func zzNewShared(f *core.Force) *zzShared {
 func main() {
 	np := flag.Int("np", 8, "number of force processes")
 	flag.Parse()
-	f := core.New(*np, core.WithPcaseSched(sched.SelfLock), core.WithReduce(reduce.PrivateSlots))
+	f := core.New(*np, core.WithReduce(reduce.PrivateSlots))
 	defer f.Close()
 	defer func() {
 		if r := recover(); r != nil {
@@ -185,7 +185,7 @@ func main() {
 		})
 		LOCSUM = 0.0
 		LOCMAX = 0.0
-		p.DoAll(sched.SelfLock, sched.Range{Start: 1, Last: 1000, Incr: 1}, func(zzI int) {
+		p.DoAll(sched.Guided, sched.Range{Start: 1, Last: 1000, Incr: 1}, func(zzI int) {
 			I = zzI
 			LOCSUM = (LOCSUM + (shr.DATA[zzIdx1(28, "DATA", I, len(shr.DATA))] * shr.DATA[zzIdx1(28, "DATA", I, len(shr.DATA))]))
 			if shr.DATA[zzIdx1(29, "DATA", I, len(shr.DATA))] > LOCMAX {

@@ -27,13 +27,13 @@ import (
 // formatVersion invalidates the whole cache whenever the generated
 // code's shape changes.  Bump it on any codegen change that alters the
 // emitted Go for an unchanged AST.
-const formatVersion = 1
+const formatVersion = 2
 
 // normalizeOpts applies the same defaulting codegen does, so an unset
 // option and its explicit default produce one key.
 func normalizeOpts(opts Options) Options {
 	if opts.Selfsched == sched.Kind(0) {
-		opts.Selfsched = sched.SelfLock
+		opts.Selfsched = sched.DefaultSelfsched
 	}
 	if opts.Chunk < 0 {
 		opts.Chunk = 0

@@ -123,7 +123,7 @@ func TestKeySensitiveToOptions(t *testing.T) {
 	prog := forcelang.MustParse(hashBase)
 	base := Key(prog, Options{})
 
-	if got := Key(prog, Options{Selfsched: sched.SelfLock, Reduce: reduce.PrivateSlots,
+	if got := Key(prog, Options{Selfsched: sched.DefaultSelfsched, Reduce: reduce.PrivateSlots,
 		Barrier: barrier.TwoLock, Askfor: engine.StealingPool}); got != base {
 		t.Error("explicit defaults changed the key")
 	}
@@ -131,8 +131,11 @@ func TestKeySensitiveToOptions(t *testing.T) {
 		"barrier":   {Barrier: barrier.Dissemination},
 		"reduce":    {Reduce: reduce.Critical},
 		"selfsched": {Selfsched: sched.Stealing},
-		"askfor":    {Askfor: engine.MonitorPool},
-		"chunk":     {Chunk: 64},
+		// A binary built for the paper's lock discipline is never served
+		// for an unset option.
+		"selfsched-lock": {Selfsched: sched.SelfLock},
+		"askfor":         {Askfor: engine.MonitorPool},
+		"chunk":          {Chunk: 64},
 	}
 	for name, opts := range diff {
 		if got := Key(prog, opts); got == base {

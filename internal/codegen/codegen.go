@@ -27,6 +27,7 @@ import (
 	"repro/internal/reduce"
 	"repro/internal/sched"
 	"repro/internal/shm"
+	"repro/internal/uniform"
 )
 
 // Options configures generation.
@@ -36,10 +37,13 @@ type Options struct {
 	// DefaultNP is the force size baked into the generated main's flag
 	// default (default 4).
 	DefaultNP int
-	// Selfsched is the discipline Selfsched DO loops (and selfscheduled
-	// Pcase) are generated against; the zero value selects the paper's
-	// lock-based selfscheduling (sched.SelfLock).  sched.Stealing emits
-	// code drawing from the engine's work-stealing deques.
+	// Selfsched is the discipline Selfsched DO loops are generated
+	// against; the zero value selects sched.DefaultSelfsched (guided
+	// spans).  sched.SelfLock emits the paper's one-iteration-per-lock
+	// loop and sched.Stealing code drawing from the engine's
+	// work-stealing deques.  Selfscheduled Pcase follows a non-default
+	// choice and otherwise keeps the runtime's one block per take, as in
+	// interp.Config.Selfsched.
 	Selfsched sched.Kind
 	// Reduce is the strategy the generated force executes global
 	// reductions (GSUM and friends) with; the zero value selects the
@@ -68,7 +72,7 @@ func Generate(prog *forcelang.Program, opts Options) ([]byte, error) {
 		opts.DefaultNP = 4
 	}
 	if opts.Selfsched == 0 {
-		opts.Selfsched = sched.SelfLock
+		opts.Selfsched = sched.DefaultSelfsched
 	}
 	g := &generator{prog: prog, opts: opts}
 	src, err := g.run()
@@ -90,6 +94,7 @@ type generator struct {
 
 	scope *forcelang.Scope // scope of the unit being generated
 	unit  string           // "" for main
+	par   int              // depth of DOALL and Askfor bodies being generated
 }
 
 func (g *generator) p(format string, args ...any) {
@@ -379,8 +384,10 @@ func (g *generator) mainFunc() error {
 	g.p("flag.Parse()")
 	// The Pcase and Reduce options keep the compiled program on the same
 	// disciplines interp uses for the same -selfsched/-reduce choices.
-	opts := fmt.Sprintf("core.WithPcaseSched(sched.%s), core.WithReduce(reduce.%s)",
-		g.opts.Selfsched.GoName(), g.opts.Reduce.GoName())
+	opts := fmt.Sprintf("core.WithReduce(reduce.%s)", g.opts.Reduce.GoName())
+	if g.opts.Selfsched != sched.DefaultSelfsched {
+		opts = fmt.Sprintf("core.WithPcaseSched(sched.%s), %s", g.opts.Selfsched.GoName(), opts)
+	}
 	if g.opts.Chunk > 0 {
 		opts += fmt.Sprintf(", core.WithChunk(%d)", g.opts.Chunk)
 	}
@@ -508,6 +515,11 @@ func (g *generator) stmts(list []forcelang.Stmt) error {
 func (g *generator) stmt(st forcelang.Stmt) error {
 	switch t := st.(type) {
 	case *forcelang.Assign:
+		if g.par > 0 {
+			if ok, err := g.accumAdd(t); ok || err != nil {
+				return err
+			}
+		}
 		lhs, lt, err := g.lvalue(&t.Target)
 		if err != nil {
 			return err
@@ -636,7 +648,10 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 		g.p("p.Askfor([]any{%s}, func(zzTask any, zzPut func(any)) {", seed)
 		g.ind++
 		g.p("%s = zzTask.(int)", lv)
-		if err := g.stmts(t.Body); err != nil {
+		g.par++
+		err = g.stmts(t.Body)
+		g.par--
+		if err != nil {
 			return err
 		}
 		g.ind--
@@ -709,6 +724,31 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 	default:
 		return fmt.Errorf("codegen: unhandled statement %T at line %d", st, st.Pos())
 	}
+}
+
+// accumAdd emits a shared INTEGER accumulator statement of a DOALL or
+// Askfor body, S = S ± e with e not reading S, as one atomic add.
+// forcevet's FV101 accepts these without a Critical section, so the
+// generated program must fold them race-free.  ok is false when t does
+// not have that shape.
+func (g *generator) accumAdd(t *forcelang.Assign) (ok bool, err error) {
+	delta, neg, isSum := uniform.IntSum(g.prog, g.scope, t)
+	if !isSum {
+		return false, nil
+	}
+	cell, _, err := g.symbol(t.Target.Name)
+	if err != nil || !strings.HasPrefix(cell, "shr.") {
+		return false, err
+	}
+	code, err := g.expr(delta)
+	if err != nil {
+		return false, err
+	}
+	if neg {
+		code = "-(" + code + ")"
+	}
+	g.p("core.AddInt(&%s, %s)", cell, code)
+	return true, nil
 }
 
 // gopFuncs maps the dialect operators to the core entry points.
@@ -838,6 +878,8 @@ func (g *generator) loopBounds(from, to, step forcelang.Expr) (string, string, s
 }
 
 func (g *generator) parDo(t *forcelang.ParDo) error {
+	g.par++
+	defer func() { g.par-- }()
 	from, to, step, err := g.loopBounds(t.From, t.To, t.Step)
 	if err != nil {
 		return err

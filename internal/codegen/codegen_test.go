@@ -116,13 +116,13 @@ func TestGeneratedStructure(t *testing.T) {
 		t.Errorf("parameters leaked into shared struct:\n%s", src)
 	}
 	for _, want := range []string{
-		"f := core.New(*np, core.WithPcaseSched(sched.SelfLock), core.WithReduce(reduce.PrivateSlots))",
+		"f := core.New(*np, core.WithReduce(reduce.PrivateSlots))",
 		"f.Run(func(p *core.Proc) {",
 		"ME := p.ID()",
 		"p.BarrierSection(func() {",
 		"defer f.Close()",
 		"p.PreschedDo(sched.Range{Start: 1, Last: shr.N, Incr: 1}, func(zzI int) {",
-		"p.DoAll2(sched.SelfLock, ",
+		"p.DoAll2(sched.Guided, ",
 		"p.Critical(\"SUM\", func() {",
 		"p.Pcase(",
 		"core.CaseIf(func() bool { return (shr.N > 4) }, func() {",
@@ -185,6 +185,10 @@ Join
 	}
 	if !strings.Contains(string(out), "p.DoAll(sched.Stealing, ") {
 		t.Errorf("Selfsched option ignored:\n%s", out)
+	}
+	// A non-default discipline also distributes selfscheduled Pcase.
+	if !strings.Contains(string(out), "core.WithPcaseSched(sched.Stealing)") {
+		t.Errorf("Selfsched option not applied to Pcase:\n%s", out)
 	}
 }
 

@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"strconv"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/asyncvar"
 )
@@ -70,6 +73,17 @@ func Mod[T number](a, b T) T {
 		return any(av % int64(any(b).(int64))).(T)
 	default:
 		return any(math.Mod(any(a).(float64), any(b).(float64))).(T)
+	}
+}
+
+// AddInt atomically adds d to *p.  Generated code folds a shared
+// INTEGER accumulator statement (S = S ± e) with it, so processes
+// accumulating into one cell inside a parallel construct do not race.
+func AddInt(p *int, d int) {
+	if strconv.IntSize == 64 {
+		atomic.AddInt64((*int64)(unsafe.Pointer(p)), int64(d))
+	} else {
+		atomic.AddInt32((*int32)(unsafe.Pointer(p)), int32(d))
 	}
 }
 

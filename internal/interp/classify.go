@@ -249,20 +249,7 @@ func (cl *classifier) matchAccum(sym symbol, t *forcelang.Assign) (accOp, bool) 
 		return 0, false
 	}
 	name := t.Target.Name
-	if delta, _, ok := uniform.AccumDelta(name, t.Expr); ok {
-		// Sums fold only when the target and the whole RHS are
-		// statically INTEGER: a REAL-promoted sum is computed in
-		// float64 and rounded at every iteration, which privately
-		// accumulated deltas cannot reproduce.
-		if sym.decl.Type != forcelang.TInt {
-			return 0, false
-		}
-		if et, err := forcelang.TypeOf(cl.prog, cl.lay.scope, t.Expr); err != nil || et != forcelang.TInt {
-			return 0, false
-		}
-		if uniform.RefersTo(delta, name) {
-			return 0, false
-		}
+	if _, _, ok := uniform.IntSum(cl.prog, cl.lay.scope, t); ok {
 		return accSum, true
 	}
 	if arg, isMax, ok := uniform.AccumMinMax(name, t.Expr); ok {

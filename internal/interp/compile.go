@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/forcelang"
 	"repro/internal/sched"
+	"repro/internal/uniform"
 )
 
 // compileErr carries a compilation failure (an unchecked or internally
@@ -77,6 +78,27 @@ func (c *compiler) typ(e forcelang.Expr, lay *unitLayout) forcelang.Type {
 
 // --- statements --------------------------------------------------------
 
+// sharedAdd compiles an INTEGER sum accumulator on a shared scalar
+// (uniform.IntSum) into one atomic add on its cell, so concurrent DOALL
+// iterations do not lose each other's updates; nil for any other
+// assignment.
+func (c *compiler) sharedAdd(t *forcelang.Assign, lay *unitLayout) stmtFn {
+	delta, neg, ok := uniform.IntSum(c.res.prog, lay.scope, t)
+	if !ok {
+		return nil
+	}
+	sym := lay.lookup(t.Target.Name, t.Pos())
+	if sym.class != scShared {
+		return nil
+	}
+	cell := c.in.scalar(sym.unit, sym.slot)
+	d := c.cInt(delta, lay)
+	if neg {
+		return func(pr *cproc, fr *frame) { cell.addInt(-d(pr, fr)) }
+	}
+	return func(pr *cproc, fr *frame) { cell.addInt(d(pr, fr)) }
+}
+
 func (c *compiler) stmts(list []forcelang.Stmt, lay *unitLayout) []stmtFn {
 	if c.fuseEnabled() {
 		return c.fusedStmts(list, lay)
@@ -97,6 +119,9 @@ func runBody(body []stmtFn, pr *cproc, fr *frame) {
 func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 	switch t := st.(type) {
 	case *forcelang.Assign:
+		if add := c.sharedAdd(t, lay); add != nil {
+			return add
+		}
 		store, tt := c.refStore(&t.Target, lay)
 		ev := c.valAs(t.Expr, lay, tt)
 		return func(pr *cproc, fr *frame) { store(pr, fr, ev(pr, fr)) }

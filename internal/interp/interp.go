@@ -72,6 +72,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/shm"
 	"repro/internal/trace"
+	"repro/internal/uniform"
 )
 
 // Config configures one interpreter run.
@@ -88,10 +89,14 @@ type Config struct {
 	// Trace, when non-nil, records every construct edge the program
 	// crosses for post-run validation (see internal/trace).
 	Trace *trace.Recorder
-	// Selfsched selects the discipline executing Selfsched DO loops and
-	// selfscheduled Pcase blocks.  The zero value selects the paper's
-	// lock-based selfscheduling (sched.SelfLock); sched.Stealing runs
-	// them on the engine's work-stealing deques instead.
+	// Selfsched selects the discipline executing Selfsched DO loops.
+	// The zero value selects sched.DefaultSelfsched (guided spans);
+	// sched.SelfLock is the paper's one-iteration-per-lock loop and
+	// sched.Stealing runs the loops on the engine's work-stealing deques.
+	// Selfscheduled Pcase blocks follow a non-default choice; under the
+	// default they keep core's one block per take (sched.SelfLock),
+	// since a guided first take of ⌈blocks/np⌉ would serialize a few
+	// coarse blocks on one process.
 	Selfsched sched.Kind
 	// Askfor selects the pool discipline behind language-level Askfor
 	// statements: the engine's work-stealing deques (zero value) or the
@@ -196,7 +201,7 @@ func Run(prog *forcelang.Program, cfg Config) error {
 		cfg.Stdout = io.Discard
 	}
 	if cfg.Selfsched == 0 {
-		cfg.Selfsched = sched.SelfLock
+		cfg.Selfsched = sched.DefaultSelfsched
 	}
 	if cfg.Exec == ExecTree {
 		return runTree(prog, cfg)
@@ -204,12 +209,22 @@ func Run(prog *forcelang.Program, cfg Config) error {
 	return runCompiled(prog, cfg)
 }
 
+// newForce creates the force a run executes on.  A selfscheduled Pcase
+// is handed cfg.Selfsched only when that is not the default discipline
+// (see Config.Selfsched).
+func newForce(cfg Config) *core.Force {
+	opts := []core.Option{core.WithMachine(cfg.Machine), core.WithBarrier(cfg.Barrier),
+		core.WithTrace(cfg.Trace), core.WithAskfor(cfg.Askfor),
+		core.WithReduce(cfg.Reduce), core.WithChunk(cfg.Chunk)}
+	if cfg.Selfsched != sched.DefaultSelfsched {
+		opts = append(opts, core.WithPcaseSched(cfg.Selfsched))
+	}
+	return core.New(cfg.NP, opts...)
+}
+
 // runTree executes the program on the original tree walker.
 func runTree(prog *forcelang.Program, cfg Config) (err error) {
-	f := core.New(cfg.NP, core.WithMachine(cfg.Machine), core.WithBarrier(cfg.Barrier),
-		core.WithTrace(cfg.Trace), core.WithAskfor(cfg.Askfor),
-		core.WithPcaseSched(cfg.Selfsched), core.WithReduce(cfg.Reduce),
-		core.WithChunk(cfg.Chunk))
+	f := newForce(cfg)
 	defer f.Close()
 	in := newInstance(prog, cfg, f)
 	if cfg.OnForce != nil {
@@ -664,8 +679,10 @@ func (pr *proc) note(st forcelang.Stmt, kind, name string) {
 func (pr *proc) stmt(st forcelang.Stmt, f *tframe) {
 	switch t := st.(type) {
 	case *forcelang.Assign:
-		v := pr.eval(t.Expr, f)
-		pr.assign(&t.Target, v, f)
+		if !pr.sharedAdd(t, f) {
+			v := pr.eval(t.Expr, f)
+			pr.assign(&t.Target, v, f)
+		}
 	case *forcelang.If:
 		if pr.evalBool(t.Cond, f) {
 			pr.stmts(t.Then, f)
@@ -923,6 +940,33 @@ func (pr *proc) call(t *forcelang.CallStmt, f *tframe) {
 	pr.stmts(sub.Body, nf)
 }
 
+// sharedAdd executes a sum accumulator on a shared INTEGER scalar
+// (S = S ± e, e not reading S) as one read-modify-write under the
+// shared-memory mutex, so concurrent DOALL iterations do not lose each
+// other's updates.  It reports false, having evaluated nothing, for any
+// other assignment.
+func (pr *proc) sharedAdd(t *forcelang.Assign, f *tframe) bool {
+	name := t.Target.Name
+	delta, _, ok := uniform.AccumDelta(name, t.Expr)
+	if !ok || len(t.Target.Subs) > 0 || uniform.RefersTo(delta, name) {
+		return false
+	}
+	b := pr.lookup(f, name, t.Pos())
+	if !b.shared || b.p == nil || b.decl.Type != forcelang.TInt {
+		return false
+	}
+	d := pr.eval(delta, f)
+	bin := t.Expr.(*forcelang.Bin)
+	pr.in.mu.Lock()
+	defer pr.in.mu.Unlock()
+	l, r := *b.p, d
+	if bin.L == delta {
+		l, r = d, *b.p
+	}
+	*b.p = coerce(arith(bin.Op, l, r, bin.Pos()), forcelang.TInt, t.Pos())
+	return true
+}
+
 func (pr *proc) assign(target *forcelang.Ref, v value, f *tframe) {
 	b := pr.lookup(f, target.Name, target.Pos())
 	if len(target.Subs) == 0 {
@@ -989,6 +1033,37 @@ func (pr *proc) evalInt(e forcelang.Expr, f *tframe) int64 {
 	return coerce(pr.eval(e, f), forcelang.TInt, e.Pos()).i
 }
 
+// arith applies an arithmetic operator: in INTEGER when both operands
+// are, in REAL otherwise.
+func arith(op forcelang.BinOp, l, r value, line int) value {
+	if l.t == forcelang.TInt && r.t == forcelang.TInt {
+		switch op {
+		case forcelang.OpAdd:
+			return intVal(l.i + r.i)
+		case forcelang.OpSub:
+			return intVal(l.i - r.i)
+		case forcelang.OpMul:
+			return intVal(l.i * r.i)
+		default:
+			if r.i == 0 {
+				panic(rtErrf(line, "integer division by zero"))
+			}
+			return intVal(l.i / r.i)
+		}
+	}
+	lf, rf := l.asReal(), r.asReal()
+	switch op {
+	case forcelang.OpAdd:
+		return realVal(lf + rf)
+	case forcelang.OpSub:
+		return realVal(lf - rf)
+	case forcelang.OpMul:
+		return realVal(lf * rf)
+	default:
+		return realVal(lf / rf) // IEEE semantics for real division
+	}
+}
+
 func (pr *proc) evalBin(t *forcelang.Bin, f *tframe) value {
 	// Short-circuit logical operators.
 	switch t.Op {
@@ -1001,32 +1076,7 @@ func (pr *proc) evalBin(t *forcelang.Bin, f *tframe) value {
 	r := pr.eval(t.R, f)
 	switch t.Op {
 	case forcelang.OpAdd, forcelang.OpSub, forcelang.OpMul, forcelang.OpDiv:
-		if l.t == forcelang.TInt && r.t == forcelang.TInt {
-			switch t.Op {
-			case forcelang.OpAdd:
-				return intVal(l.i + r.i)
-			case forcelang.OpSub:
-				return intVal(l.i - r.i)
-			case forcelang.OpMul:
-				return intVal(l.i * r.i)
-			default:
-				if r.i == 0 {
-					panic(rtErrf(t.Pos(), "integer division by zero"))
-				}
-				return intVal(l.i / r.i)
-			}
-		}
-		lf, rf := l.asReal(), r.asReal()
-		switch t.Op {
-		case forcelang.OpAdd:
-			return realVal(lf + rf)
-		case forcelang.OpSub:
-			return realVal(lf - rf)
-		case forcelang.OpMul:
-			return realVal(lf * rf)
-		default:
-			return realVal(lf / rf) // IEEE semantics for real division
-		}
+		return arith(t.Op, l, r, t.Pos())
 	case forcelang.OpEq, forcelang.OpNe:
 		if l.t == forcelang.TLogical || r.t == forcelang.TLogical {
 			eq := l.b == r.b

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -276,6 +277,46 @@ Join
 `, Config{NP: 3})
 	if got := strings.TrimSpace(out); got != "7 9" {
 		t.Errorf("out = %q", got)
+	}
+}
+
+// TestSelfschedPcaseOneBlockPerTake: under the default config a
+// selfscheduled Pcase hands out one block per take on every tier, not a
+// guided span.  Blocks 1 and 2 rendezvous through two async variables,
+// so they complete only on different processes; a first take of
+// ⌈3/2⌉ = 2 blocks would run both on one process and stall until the
+// deadline.
+func TestSelfschedPcaseOneBlockPerTake(t *testing.T) {
+	prog := forcelang.MustParse(`Force PCR of NP ident ME
+Async Integer X, Y
+Shared Integer A, B, C
+End Declarations
+Pcase Selfsched
+Usect
+  Produce X = 1
+  Consume Y into A
+Usect
+  Consume X into B
+  Produce Y = 2
+Usect
+  C = 3
+End Pcase
+Barrier
+Print A, B, C
+End Barrier
+Join
+`)
+	for _, mode := range []ExecMode{ExecChunked, ExecCompiled, ExecTree} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		var out strings.Builder
+		err := Run(prog, Config{NP: 2, Exec: mode, Stdout: &out, Context: ctx})
+		cancel()
+		if err != nil {
+			t.Fatalf("%v: %v (blocks 1 and 2 ran on one process)", mode, err)
+		}
+		if got := strings.TrimSpace(out.String()); got != "2 1 3" {
+			t.Errorf("%v: out = %q", mode, got)
+		}
 	}
 }
 

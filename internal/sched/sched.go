@@ -117,6 +117,14 @@ const (
 	Stealing
 )
 
+// DefaultSelfsched is the discipline a Selfsched DO runs under when none
+// is chosen, on every execution tier and in every front end.  Guided
+// spans cost one CAS per ⌈remaining/np⌉ iterations where the paper's
+// SelfLock costs one lock round trip per iteration, which dominates
+// cheap loop bodies; SelfLock stays available as the reproduced
+// baseline.
+const DefaultSelfsched = Guided
+
 var kindNames = map[Kind]string{
 	PreschedBlock:  "presched-block",
 	PreschedCyclic: "presched-cyclic",
@@ -172,8 +180,8 @@ func ParseKind(s string) (Kind, error) {
 // (selfscheduled) disciplines — the valid arguments of a -selfsched
 // flag.  The prescheduled kinds are rejected rather than accepted:
 // PreschedBlock is Kind zero, which the interp and codegen configs
-// treat as "unset", so letting it through would silently select the
-// default instead of erroring.
+// treat as "unset", so letting it through would silently select
+// DefaultSelfsched instead of erroring.
 func ParseSelfschedKind(s string) (Kind, error) {
 	k, err := ParseKind(s)
 	if err != nil {
@@ -196,7 +204,7 @@ type Config struct {
 	// ChunkSize applies to Chunk (default 16 when zero) and, as the
 	// split grain, to Stealing (default n/(8·np) when zero).
 	ChunkSize int
-	// LockFactory supplies the loop lock for SelfLock and Guided; nil
+	// LockFactory supplies the loop lock for SelfLock; nil
 	// defaults to system locks.  This is the machine-dependent hook: the
 	// paper's selfsched macro "will call generic machine dependent macros
 	// for the declaration of shared variables and for synchronization".

@@ -272,6 +272,44 @@ func TestGuidedChunksShrink(t *testing.T) {
 	}
 }
 
+// TestDefaultSelfschedHandsOutSpans pins the default discipline's grain:
+// driven from one goroutine, processes taking turns, it hands every
+// ordinal out exactly once in at most np·(⌈log2 n⌉+1) spans — spans,
+// not one iteration per take as the paper's SelfLock does.
+func TestDefaultSelfschedHandsOutSpans(t *testing.T) {
+	for _, n := range []int{1, 254, 4096} {
+		for _, np := range []int{1, 2, 8} {
+			s := New(DefaultSelfsched, np, Seq(n), Config{})
+			seen := make([]int, n)
+			spans := 0
+			for pid, dry := 0, 0; dry < np; pid = (pid + 1) % np {
+				lo, hi, ok := s.Next(pid)
+				if !ok {
+					dry++
+					continue
+				}
+				dry = 0
+				spans++
+				for k := lo; k < hi; k++ {
+					seen[k]++
+				}
+			}
+			for k, c := range seen {
+				if c != 1 {
+					t.Fatalf("n=%d np=%d: ordinal %d handed out %d times", n, np, k, c)
+				}
+			}
+			log2 := 0
+			for 1<<log2 < n {
+				log2++
+			}
+			if limit := np * (log2 + 1); spans > limit {
+				t.Errorf("n=%d np=%d: %d spans, want ≤ %d", n, np, spans, limit)
+			}
+		}
+	}
+}
+
 func TestTSSChunksShrinkLinearly(t *testing.T) {
 	const np, n = 4, 1024
 	s := New(TSS, np, Seq(n), Config{})

@@ -100,6 +100,26 @@ func AccumDelta(name string, e forcelang.Expr) (delta forcelang.Expr, negate boo
 	return nil, false, false
 }
 
+// IntSum matches t against the INTEGER sum accumulator: S = S + e,
+// S = e + S or S = S - e on an unsubscripted S, with e never reading S
+// and the whole right-hand side typed INTEGER in scope.  forcevet's
+// FV101 accepts these in parallel bodies without a Critical section,
+// so every execution tier must fold them without losing updates.  A
+// REAL-promoted sum is excluded: it is computed in float64 and rounded
+// at every store, which an atomic or privately accumulated add cannot
+// reproduce.
+func IntSum(prog *forcelang.Program, scope *forcelang.Scope, t *forcelang.Assign) (delta forcelang.Expr, negate bool, ok bool) {
+	name := t.Target.Name
+	delta, negate, ok = AccumDelta(name, t.Expr)
+	if !ok || len(t.Target.Subs) > 0 || RefersTo(delta, name) {
+		return nil, false, false
+	}
+	if et, err := forcelang.TypeOf(prog, scope, t.Expr); err != nil || et != forcelang.TInt {
+		return nil, false, false
+	}
+	return delta, negate, true
+}
+
 // AccumMinMax matches e against the extremum-accumulator shapes for
 // scalar name (S = MAX(S, e) and the MIN twin), returning the
 // contributed expression and which extremum is kept.  Only the

@@ -9,8 +9,9 @@ package vet
 //   - every access to the name sits inside one Critical section (one
 //     name — two different locks exclude nothing);
 //   - the scalar is a pure integer accumulator: every write has the
-//     shape S = S ± e and the scalar is never read outside those
-//     self-references (the runtime folds these deterministically);
+//     shape S = S ± e (uniform.IntSum) and the scalar is never read
+//     outside those self-references (every execution tier folds these
+//     atomically, so no update is lost);
 //   - the array's accesses use one affine subscript form, injective on
 //     the construct's index space (internal/uniform's disjointness
 //     proof), after substituting body-local single-assignment index
@@ -367,14 +368,9 @@ func (c *collector) assign(t *forcelang.Assign, crit string) {
 		if !c.valueUniform(t.Expr) {
 			s.valuesUniform = false
 		}
-		// Accumulator shape: S = S ± e, INTEGER, e not reading S.
-		if d.Type == forcelang.TInt {
-			if delta, _, ok := uniform.AccumDelta(name, t.Expr); ok && !uniform.RefersTo(delta, name) {
-				if et, err := forcelang.TypeOf(c.prog, c.u.scope, t.Expr); err == nil && et == forcelang.TInt {
-					s.accWrites++
-					s.selfRef++
-				}
-			}
+		if _, _, ok := uniform.IntSum(c.prog, c.u.scope, t); ok {
+			s.accWrites++
+			s.selfRef++
 		}
 		return
 	}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/lock"
 	"repro/internal/machine"
 	"repro/internal/maclib"
+	"repro/internal/poison"
 	"repro/internal/reduce"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -183,7 +184,9 @@ func expT4(c config) error {
 }
 
 // expT5 measures produce/consume transfer rates for the three async
-// realizations.
+// realizations, unbound, plus the full/empty cell bound to a cell that
+// lets its waiters spin, as a force of two processes on two or more
+// CPUs binds it.
 func expT5(c config) error {
 	items := 100000
 	if c.quick {
@@ -192,10 +195,12 @@ func expT5(c config) error {
 	tbl := &stats.Table{
 		Title:  "async variable transfers per second (1 producer, 1 consumer)",
 		Header: []string{"realization", "transfers/s"},
-		Notes:  []string{"channel stands for the HEP hardware full/empty bit; twolock is every other machine (§4.2)"},
+		Notes: []string{
+			"fullempty stands for the HEP hardware full/empty bit (one atomic state word per cell); twolock is every other machine (§4.2)",
+			"unbound fullempty waiters park at once; fullempty+spin is bound to a cell that lets them spin first (GOMAXPROCS >= 2 only)",
+		},
 	}
-	for _, impl := range asyncvar.Impls() {
-		v := asyncvar.New[int](impl, lock.Factory(lock.TTAS))
+	row := func(name string, v asyncvar.V[int]) {
 		s := stats.Time(c.runs, func() {
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -210,7 +215,17 @@ func expT5(c config) error {
 			}
 			wg.Wait()
 		})
-		tbl.AddRow(impl.String(), float64(items)/s.Median())
+		tbl.AddRow(name, float64(items)/s.Median())
+	}
+	for _, impl := range asyncvar.Impls() {
+		row(impl.String(), asyncvar.New[int](impl, lock.Factory(lock.TTAS)))
+	}
+	if runtime.GOMAXPROCS(0) >= 2 {
+		cell := poison.NewCell()
+		cell.SetSpin(true)
+		v := asyncvar.New[int](asyncvar.FullEmpty, nil)
+		asyncvar.SetPoison(v, cell)
+		row(asyncvar.FullEmpty.String()+"+spin", v)
 	}
 	return tbl.Render(os.Stdout)
 }
@@ -470,6 +485,7 @@ type askforCell struct {
 type askforReport struct {
 	Experiment string       `json:"experiment"`
 	GoMaxProcs int          `json:"gomaxprocs"`
+	NumCPU     int          `json:"numcpu"`
 	Runs       int          `json:"runs"`
 	Results    []askforCell `json:"results"`
 }
@@ -487,7 +503,8 @@ func expT9(c config) error {
 		depth = 10
 	}
 	tasks := 1<<depth - 1
-	report := askforReport{Experiment: "askfor-distribution", GoMaxProcs: runtime.GOMAXPROCS(0), Runs: c.runs}
+	report := askforReport{Experiment: "askfor-distribution", GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU: runtime.NumCPU(), Runs: c.runs}
 	for _, grain := range []int{0, 500} {
 		tbl := &stats.Table{
 			Title:  fmt.Sprintf("Askfor dynamic tree, depth %d (%d tasks), grain=%d: tasks/second", depth, tasks, grain),

@@ -67,7 +67,8 @@
 //	    the paper's create-force-then-reuse driver), Chase-Lev work-stealing
 //	    deques, and the WorkSource interface that unifies the paper's three
 //	    generic constructs: Askfor draws from an engine.Pool (stealing
-//	    deques or the [LO83] central monitor), selfscheduled Pcase and DOALL
+//	    deques that end when their last worker goes idle, or the [LO83]
+//	    central monitor), selfscheduled Pcase and DOALL
 //	    loops draw from internal/sched disciplines, among them the
 //	    engine-backed Stealing kind;
 //
@@ -81,8 +82,10 @@
 //	  - internal/barrier, internal/lock, internal/asyncvar, internal/shm and
 //	    internal/machine model the machine-dependent layer of the paper:
 //	    barrier algorithms, lock categories, full/empty asynchronous
-//	    variables, shared-memory designation, and the emulated profiles of
-//	    the six 1989 machines the Force was ported to;
+//	    variables (an atomic full/empty word per cell for the HEP's
+//	    hardware bit, the two-lock scheme elsewhere), shared-memory
+//	    designation, and the emulated profiles of the six 1989 machines
+//	    the Force was ported to;
 //
 //	  - the portability architecture (internal/sedlite, internal/m4lite,
 //	    internal/maclib) reproduces the two-pass macro preprocessor with its
@@ -92,7 +95,9 @@
 //	  - internal/poison is the fault-containment layer: a per-force
 //	    cancellation cell (atomic poison flag + first-failure slot) that
 //	    every blocking primitive observes — all barrier kinds, reduction
-//	    episodes, asynchronous variables, Askfor pools and loop drivers.
+//	    episodes, asynchronous variables, Askfor pools and loop drivers;
+//	    its Await is the event-driven park/wake primitive the full/empty
+//	    cells and the stealing Askfor pool wait through.
 //	    A runtime error in any process poisons the force, blocked peers
 //	    unwind with a distinguished abort panic recovered at the engine's
 //	    job boundary, core.Force.Run re-panics the first failure after

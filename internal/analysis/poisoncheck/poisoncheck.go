@@ -3,20 +3,23 @@
 // (PR 4) and the chaos harness (PR 8) rely on but the compiler cannot
 // enforce:
 //
-//	spinloop   In the blocking-primitive packages (internal/barrier,
-//	           internal/reduce, internal/asyncvar, internal/engine), a
-//	           for-loop that yields (runtime.Gosched or time.Sleep) is
-//	           a wait loop; it must observe the poison cell — a
+//	spinloop   In the blocking-primitive packages (internal/poison,
+//	           internal/barrier, internal/reduce, internal/asyncvar,
+//	           internal/engine), a for-loop that yields
+//	           (runtime.Gosched or time.Sleep) is a wait loop; it
+//	           must observe the poison cell — a
 //	           Check/Poisoned/Wait/WaitRelay call or a <-...Done()
 //	           receive in its condition or body — or be literally
 //	           bounded (`i < 64`-shaped condition), so a poisoned
 //	           force cannot leave a process spinning forever.
-//	select     In internal/barrier, internal/reduce and
-//	           internal/asyncvar, a select with no default blocks; one
-//	           of its cases must receive from a ...Done() channel so
-//	           poison wakes the waiter.  (internal/engine is exempt:
-//	           its worker dispatch select legitimately blocks on the
-//	           jobs/quit pair outside any force.)
+//	select     In internal/poison (whose Await is the park every
+//	           event-driven wait goes through), internal/barrier,
+//	           internal/reduce and internal/asyncvar, a select with no
+//	           default blocks; one of its cases must receive from a
+//	           ...Done() channel so poison wakes the waiter.
+//	           (internal/engine is exempt: its worker dispatch select
+//	           legitimately blocks on the jobs/quit pair outside any
+//	           force.)
 //	firesite   Everywhere, the site argument of faultinject.Fire and
 //	           FireErr must be one of the constants the faultinject
 //	           package registers (or a string literal equal to one),
@@ -55,12 +58,12 @@ func (f Finding) String() string {
 
 // spinPackages need every yielding loop to observe poison.
 var spinPackages = []string{
-	"internal/barrier", "internal/reduce", "internal/asyncvar", "internal/engine",
+	"internal/poison", "internal/barrier", "internal/reduce", "internal/asyncvar", "internal/engine",
 }
 
 // selectPackages need every blocking select to carry a Done() case.
 var selectPackages = []string{
-	"internal/barrier", "internal/reduce", "internal/asyncvar",
+	"internal/poison", "internal/barrier", "internal/reduce", "internal/asyncvar",
 }
 
 // Run checks the repository rooted at root and returns the findings

@@ -3,6 +3,9 @@ package poisoncheck
 import (
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -212,5 +215,44 @@ func TestLoadSites(t *testing.T) {
 	}
 	if values != 17 {
 		t.Errorf("found %d site values, want 17", values)
+	}
+}
+
+// TestPoisonPackageParkNeedsDone runs the linter over a fixture tree:
+// a park select without a <-...Done() case is flagged in
+// internal/poison, the package every event-driven wait parks through,
+// and the same file outside the blocking-primitive packages is not.
+func TestPoisonPackageParkNeedsDone(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/faultinject/sites.go", "package faultinject\n\nconst BarrierEnter = \"barrier.enter\"\n")
+	const park = `package poison
+
+func park(wake chan struct{}, try func() bool) {
+	for !try() {
+		select {
+		case <-wake:
+		}
+	}
+}
+`
+	write("internal/poison/park.go", park)
+	write("internal/other/park.go", park)
+	findings, err := Run(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || findings[0].Rule != "select" ||
+		!strings.Contains(filepath.ToSlash(findings[0].Pos.Filename), "internal/poison/park.go") {
+		t.Fatalf("want one select finding in internal/poison/park.go, got %v", findings)
 	}
 }

@@ -26,8 +26,14 @@ import (
 
 // formatVersion invalidates the whole cache whenever the generated
 // code's shape changes.  Bump it on any codegen change that alters the
-// emitted Go for an unchanged AST.
-const formatVersion = 2
+// emitted Go for an unchanged AST, and on any change to the runtime
+// packages a built binary links (core, engine, asyncvar, barrier,
+// reduce, sched, ...) that alters what the binary does: the key hashes
+// the program and the options, not the runtime library, so a warm
+// cache would otherwise keep serving binaries linked against the old
+// runtime.  Version 3: asynchronous variables and the Askfor pool wait
+// through poison.Await.
+const formatVersion = 3
 
 // normalizeOpts applies the same defaulting codegen does, so an unset
 // option and its explicit default produce one key.
@@ -43,9 +49,14 @@ func normalizeOpts(opts Options) Options {
 
 // Key returns the hex cache key of prog under opts.
 func Key(prog *forcelang.Program, opts Options) string {
+	return keyAt(formatVersion, prog, opts)
+}
+
+// keyAt is Key under a given format version.
+func keyAt(version uint64, prog *forcelang.Program, opts Options) string {
 	opts = normalizeOpts(opts)
 	w := &hasher{h: sha256.New()}
-	w.num(formatVersion)
+	w.num(version)
 	w.str(opts.Selfsched.String())
 	w.str(opts.Reduce.String())
 	w.str(opts.Barrier.String())

@@ -13,15 +13,31 @@ import (
 // On non-HEP machines each element costs a pair of locks, which is
 // exactly the paper's "locks may be scarce resources" caveat (§4.1.3):
 // constructing a large two-lock Array on the Cray-2 profile would have
-// exhausted the machine's lock supply, while the channel realization
+// exhausted the machine's lock supply, while the full/empty realization
 // models the HEP's free per-cell state.
 type Array[T any] struct {
 	cells []V[T]
 }
 
+// paddedCell keeps neighbouring full/empty cells' state words and
+// waiter sets on different cache lines, whatever T's size: processes
+// handing a token round a ring of cells would false-share otherwise.
+type paddedCell[T any] struct {
+	fullEmpty[T]
+	_ [64]byte
+}
+
 // NewArray creates an array of n empty cells realized per impl.
+// Full/empty cells come from one slab allocation.
 func NewArray[T any](impl Impl, factory func() lock.Lock, n int) *Array[T] {
 	a := &Array[T]{cells: make([]V[T], n)}
+	if impl == FullEmpty {
+		slab := make([]paddedCell[T], n)
+		for i := range a.cells {
+			a.cells[i] = &slab[i].fullEmpty
+		}
+		return a
+	}
 	for i := range a.cells {
 		a.cells[i] = New[T](impl, factory)
 	}

@@ -3,6 +3,7 @@ package asyncvar
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/lock"
 )
@@ -40,7 +41,7 @@ func TestArrayBasics(t *testing.T) {
 // TestArrayCellsIndependent: producing one cell never unblocks a consumer
 // of a different cell.
 func TestArrayCellsIndependent(t *testing.T) {
-	a := NewArray[int](Channel, nil, 4)
+	a := NewArray[int](FullEmpty, nil, 4)
 	got := make(chan int, 1)
 	go func() { got <- a.Consume(2) }()
 	a.Produce(1, 11) // different cell: consumer must stay blocked
@@ -56,9 +57,10 @@ func TestArrayCellsIndependent(t *testing.T) {
 }
 
 // TestArrayCopySemantics pins the Copy contract on every realization
-// (the two-lock protocol of the non-HEP machines, the channel standing
-// in for HEP hardware, and the parked condvar shape): Copy waits for
-// full, returns the value, and leaves the cell full — repeatedly.
+// (the two-lock protocol of the non-HEP machines, the full/empty word
+// standing in for HEP hardware, and the parked condvar shape): Copy
+// waits for full, returns the value, and leaves the cell full —
+// repeatedly.
 func TestArrayCopySemantics(t *testing.T) {
 	for _, impl := range Impls() {
 		a := NewArray[int](impl, lock.Factory(lock.TTAS), 4)
@@ -93,7 +95,7 @@ func TestArrayCopySemantics(t *testing.T) {
 // TestArrayConcurrentCopies hammers one full cell with concurrent Copy
 // readers (the broadcast-style read the Force User's Manual added Copy
 // for) while IsFull is polled — the -race job validates the internal
-// synchronization of both the two-lock and the channel realizations.
+// synchronization of both the two-lock and the full/empty realizations.
 func TestArrayConcurrentCopies(t *testing.T) {
 	for _, impl := range Impls() {
 		a := NewArray[int](impl, lock.Factory(lock.System), 2)
@@ -177,5 +179,27 @@ func TestArrayWavefront(t *testing.T) {
 				t.Fatalf("%v: cell %d = %d, want %d", impl, i, got, 100+i)
 			}
 		}
+	}
+}
+
+// TestArrayFullEmptySlab: a full/empty Array is one slab of padded
+// cells, not an allocation per cell, and neighbouring cells' words sit
+// at least a cache line apart.
+func TestArrayFullEmptySlab(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() { NewArray[int](FullEmpty, nil, 64) })
+	if allocs > 3 {
+		t.Errorf("NewArray of 64 full/empty cells made %v allocations, want at most 3 (array, cell slice, slab)", allocs)
+	}
+	a := NewArray[int](FullEmpty, nil, 2)
+	c0, c1 := a.At(0).(*fullEmpty[int]), a.At(1).(*fullEmpty[int])
+	gap := uintptr(unsafe.Pointer(c1)) - uintptr(unsafe.Pointer(c0)) - unsafe.Sizeof(*c0)
+	if gap < 64 {
+		t.Errorf("neighbouring cells %d bytes apart, want a cache line", gap)
+	}
+	// The first park allocates the set's wake channel; a cell nobody
+	// waits on allocates nothing.
+	v := New[int](FullEmpty, nil)
+	if n := testing.AllocsPerRun(100, func() { v.Produce(1); v.Consume() }); n != 0 {
+		t.Errorf("an uncontended Produce/Consume allocated %v times", n)
 	}
 }

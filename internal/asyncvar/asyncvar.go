@@ -21,14 +21,18 @@
 // Force synthesized the state from two locks E and F: "An empty state
 // corresponds to E being locked and F unlocked.  A full state corresponds
 // to F being locked and E unlocked."  The two-lock implementation here
-// follows that protocol literally; the channel implementation stands in
-// for the HEP hardware (a capacity-1 channel is a full/empty cell); the
-// condition-variable implementation is the parked, system-call shape.
+// follows that protocol literally; the full/empty implementation stands
+// in for the HEP hardware (one atomic state word per cell is its
+// full/empty bit, and waiters park through poison.Await on separate
+// "wait for empty" and "wait for full" sets); the condition-variable
+// implementation is the parked, system-call shape.
 package asyncvar
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/lock"
@@ -81,18 +85,18 @@ const (
 	// TwoLock synthesizes full/empty from two locks E and F, the paper's
 	// protocol for every non-HEP machine.
 	TwoLock Impl = iota
-	// Channel models the HEP's hardware full/empty bit with a capacity-1
-	// channel.
-	Channel
+	// FullEmpty models the HEP's hardware full/empty bit with one
+	// atomic state word per cell.
+	FullEmpty
 	// CondVar parks waiters on a condition variable (system-call
 	// category).
 	CondVar
 )
 
 var implNames = map[Impl]string{
-	TwoLock: "twolock",
-	Channel: "channel",
-	CondVar: "condvar",
+	TwoLock:   "twolock",
+	FullEmpty: "fullempty",
+	CondVar:   "condvar",
 }
 
 // String returns the implementation's short name.
@@ -114,7 +118,7 @@ func ParseImpl(s string) (Impl, error) {
 }
 
 // Impls lists the implementations in presentation order.
-func Impls() []Impl { return []Impl{TwoLock, Channel, CondVar} }
+func Impls() []Impl { return []Impl{TwoLock, FullEmpty, CondVar} }
 
 // New creates an empty asynchronous variable.  The lock factory supplies E
 // and F for the TwoLock implementation (nil defaults to system locks) and
@@ -129,8 +133,8 @@ func New[T any](impl Impl, factory func() lock.Lock) V[T] {
 		// Empty state: E locked, F unlocked.
 		v.e.Lock()
 		return v
-	case Channel:
-		return &chanVar[T]{ch: make(chan T, 1)}
+	case FullEmpty:
+		return new(fullEmpty[T])
 	case CondVar:
 		cv := &condVar[T]{}
 		cv.cond = sync.NewCond(&cv.mu)
@@ -227,85 +231,104 @@ func (v *twoLockVar[T]) setFull(b bool) {
 	v.stMu.Unlock()
 }
 
-// chanVar models the HEP hardware full/empty cell with a capacity-1
-// channel: send ⇔ produce (blocks while full), receive ⇔ consume (blocks
-// while empty).
-type chanVar[T any] struct {
-	ch chan T
-	pc *poison.Cell
+// Cell states of fullEmpty.  busy is the transfer in flight: the
+// operation that claimed the cell owns its value until it stores the
+// new state.
+const (
+	empty uint32 = iota
+	full
+	busy
+)
+
+// fullEmpty models the HEP hardware full/empty cell literally: one
+// atomic state word is the cell's full/empty bit, and an operation
+// claims the cell by a CAS from the state it waits for to busy, moves
+// the value, and stores the new state.  A waiter for the other state
+// waits through poison.Await on that state's own waiter set, and every
+// store out of busy wakes the set waiting for the state it stores.
+type fullEmpty[T any] struct {
+	st      atomic.Uint32
+	val     T
+	pc      *poison.Cell
+	onEmpty poison.Sleepers // producers waiting for empty
+	onFull  poison.Sleepers // consumers and copiers waiting for full
 }
 
-var _ V[int] = (*chanVar[int])(nil)
-var _ Poisonable = (*chanVar[int])(nil)
+var _ V[int] = (*fullEmpty[int])(nil)
+var _ Poisonable = (*fullEmpty[int])(nil)
 
-// SetPoison binds the channel waits to the cell: blocked sends and
-// receives additionally select on the cell's wake channel.
-func (v *chanVar[T]) SetPoison(c *poison.Cell) { v.pc = c }
+// SetPoison binds the cell's waits to c: a parked waiter also wakes on
+// the cell's poisoning, and spins first only while c says the force
+// is not oversubscribed.
+func (v *fullEmpty[T]) SetPoison(c *poison.Cell) { v.pc = c }
 
-// Produce sends into the cell, blocking while it is full.
-func (v *chanVar[T]) Produce(x T) {
+// claim moves the state from `from` to busy, reporting success.
+func (v *fullEmpty[T]) claim(from uint32) bool {
+	return v.st.Load() == from && v.st.CompareAndSwap(from, busy)
+}
+
+// acquire claims the cell in state from, waiting in s until it can.
+func (v *fullEmpty[T]) acquire(from uint32, s *poison.Sleepers) {
+	if !v.claim(from) {
+		poison.Await(v.pc, s, func() bool { return v.claim(from) })
+	}
+}
+
+// Produce waits for empty, writes, and marks the cell full.
+func (v *fullEmpty[T]) Produce(x T) {
 	faultinject.Fire(faultinject.AsyncProduce, -1, v.pc)
-	if v.pc == nil {
-		v.ch <- x
-		return
-	}
-	select {
-	case v.ch <- x:
-	case <-v.pc.Done():
-		v.pc.Check()
-	}
+	v.acquire(empty, &v.onEmpty)
+	v.val = x
+	v.st.Store(full)
+	v.onFull.Wake()
 }
 
-// Consume receives from the cell, blocking while it is empty.
-func (v *chanVar[T]) Consume() T {
+// Consume waits for full, reads, and marks the cell empty.
+func (v *fullEmpty[T]) Consume() T {
 	faultinject.Fire(faultinject.AsyncConsume, -1, v.pc)
-	if v.pc == nil {
-		return <-v.ch
-	}
-	select {
-	case x := <-v.ch:
-		return x
-	case <-v.pc.Done():
-		v.pc.Check()
-		return <-v.ch // unreachable: Done fired means Check panics
-	}
-}
-
-// Copy reads the value and immediately restores it.  The cell is briefly
-// observable as empty between the two steps; the HEP's read-preserving
-// access had no such window, but no Force construct depends on its absence.
-func (v *chanVar[T]) Copy() T {
-	faultinject.Fire(faultinject.AsyncCopy, -1, v.pc)
-	x := v.Consume()
-	if v.pc == nil {
-		v.ch <- x
-		return x
-	}
-	select {
-	case v.ch <- x:
-	case <-v.pc.Done():
-		// Restore before unwinding so the abort does not leave a
-		// variable empty that Copy promised to leave full; if a racing
-		// producer refilled the cell, it is full anyway.
-		select {
-		case v.ch <- x:
-		default:
-		}
-		v.pc.Check()
-	}
+	v.acquire(full, &v.onFull)
+	x := v.take()
+	v.st.Store(empty)
+	v.onEmpty.Wake()
 	return x
 }
 
-// Void drains the cell if it holds a value.
-func (v *chanVar[T]) Void() {
-	select {
-	case <-v.ch:
-	default:
-	}
+// Copy waits for full and reads, leaving the cell full.  Other full
+// waiters may have seen the cell busy meanwhile, so it wakes them too.
+func (v *fullEmpty[T]) Copy() T {
+	faultinject.Fire(faultinject.AsyncCopy, -1, v.pc)
+	v.acquire(full, &v.onFull)
+	x := v.val
+	v.st.Store(full)
+	v.onFull.Wake()
+	return x
 }
 
-// IsFull reports whether the cell currently holds a value.
-func (v *chanVar[T]) IsFull() bool { return len(v.ch) == 1 }
+// Void empties a full cell and discards its value.  A transfer in
+// flight (which V forbids Void to race) is let finish first.
+func (v *fullEmpty[T]) Void() {
+	for !v.claim(full) {
+		if v.st.Load() == empty {
+			return
+		}
+		v.pc.Check()
+		runtime.Gosched()
+	}
+	v.take()
+	v.st.Store(empty)
+	v.onEmpty.Wake()
+}
+
+// take moves the value out, so an empty cell does not pin it.
+func (v *fullEmpty[T]) take() T {
+	x := v.val
+	var zero T
+	v.val = zero
+	return x
+}
+
+// IsFull reports whether the cell's state is full.
+func (v *fullEmpty[T]) IsFull() bool { return v.st.Load() == full }
 
 // condVar is the parked implementation: one mutex, one condition variable,
 // an explicit full bit.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/lock"
+	"repro/internal/poison"
 )
 
 func TestImplStringAndParse(t *testing.T) {
@@ -147,14 +148,28 @@ func TestConsumeBlocksWhileEmpty(t *testing.T) {
 }
 
 // TestManyProducersManyConsumers checks conservation: every produced value
-// is consumed exactly once.
+// is consumed exactly once.  The full/empty cell runs twice: unbound
+// (every wait parks) and bound to a cell that lets waiters spin first.
 func TestManyProducersManyConsumers(t *testing.T) {
 	const producers, perProducer = 4, 200
+	spinning := poison.NewCell()
+	spinning.SetSpin(true)
+	type variant struct {
+		name string
+		impl Impl
+		pc   *poison.Cell
+	}
+	var variants []variant
 	for _, impl := range Impls() {
-		impl := impl
-		t.Run(impl.String(), func(t *testing.T) {
+		variants = append(variants, variant{impl.String(), impl, nil})
+	}
+	variants = append(variants, variant{"fullempty+spin", FullEmpty, spinning})
+	for _, vr := range variants {
+		vr := vr
+		t.Run(vr.name, func(t *testing.T) {
 			t.Parallel()
-			v := New[int](impl, lock.Factory(lock.Combined))
+			v := New[int](vr.impl, lock.Factory(lock.Combined))
+			SetPoison(v, vr.pc)
 			total := producers * perProducer
 			var wg sync.WaitGroup
 			for p := 0; p < producers; p++ {

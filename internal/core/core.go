@@ -61,6 +61,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -297,15 +298,18 @@ func (f *Force) Close() {
 func (f *Force) NP() int { return f.np }
 
 // NewAsync creates an asynchronous (full/empty) variable realized with the
-// force's machine profile: hardware-style on the HEP, the two-lock scheme
-// elsewhere.  (A free function because Go methods cannot introduce type
-// parameters.)  The variable observes the force's poison cell: a
-// Produce/Consume blocked when the force aborts unwinds instead of
-// waiting for a transfer that can never happen.  On machine profiles
-// whose realization parks waiters (the condition-variable impl) the
-// binding holds a subscription on the cell for the variable's — i.e.
-// the force's — lifetime, so allocate such variables per force, not
-// per Run (or unbind retired ones with asyncvar.SetPoison(v, nil)).
+// force's machine profile: an atomic full/empty word on the HEP and the
+// native profile (waiters spin briefly while the force is not
+// oversubscribed, then park until the releasing operation wakes them),
+// the two-lock scheme elsewhere.  (A free function because Go methods
+// cannot introduce type parameters.)  The variable observes the force's
+// poison cell: a Produce/Consume blocked when the force aborts unwinds
+// instead of waiting for a transfer that can never happen.  On machine
+// profiles whose realization parks waiters on a condition variable (the
+// condvar impl) the binding holds a subscription on the cell for the
+// variable's — i.e. the force's — lifetime, so allocate such variables
+// per force, not per Run (or unbind retired ones with
+// asyncvar.SetPoison(v, nil)).
 func NewAsync[T any](f *Force) asyncvar.V[T] {
 	v := machine.NewAsync[T](f.profile)
 	asyncvar.SetPoison(v, f.pc)
@@ -511,6 +515,7 @@ func (f *Force) RunContext(ctx context.Context, program func(p *Proc)) error {
 	}
 
 	f.curProgram = program
+	f.pc.SetSpin(f.np <= runtime.GOMAXPROCS(0))
 	f.eng.RunCell(f.pc, f.runBody)
 	f.curProgram = nil // do not pin the program until the next Run
 	if stop != nil {
@@ -997,6 +1002,9 @@ func (p *Proc) Askfor(seed []any, body func(task any, put func(any))) {
 		pool.Put(p.id, t)
 	}
 	p.enterSite(&siteAskfor)
+	// Tasks are counted locally and published once per construct, so
+	// the per-task path touches no counter every process shares.
+	var tasks int64
 	for {
 		// Per-task poison check: the stealing pool's hand-slot fast
 		// path hands back a put-then-take worker's own successor
@@ -1008,11 +1016,12 @@ func (p *Proc) Askfor(seed []any, body func(task any, put func(any))) {
 		if !ok {
 			break
 		}
-		p.f.stats.AskforTasks.Add(1)
+		tasks++
 		p.f.tr.Record(p.id, trace.AskforTask, "", 0)
 		body(task, put)
 		pool.Done(p.id)
 	}
+	p.f.stats.AskforTasks.Add(tasks)
 	// Close the construct; the pool object (and its poison
 	// subscription) is retired by the last process through the exit
 	// barrier.

@@ -111,15 +111,12 @@ func NewPool(kind PoolKind, np int, seed []any, cell *poison.Cell) Pool {
 			free:   make([]freeList, np),
 			pc:     cell,
 		}
-		p.cond = sync.NewCond(&p.mu)
 		for i := range p.deques {
 			p.deques[i] = NewDeque[any](16)
 		}
 		for i, t := range seed {
 			p.deques[i%np].Push(t)
 		}
-		p.outstanding.Store(int64(len(seed)))
-		p.unsub = poison.SubscribeBroadcast(cell, &p.mu, p.cond)
 		return p
 	case MonitorPool:
 		p := &monitorPool{pc: cell}
@@ -133,10 +130,14 @@ func NewPool(kind PoolKind, np int, seed []any, cell *poison.Cell) Pool {
 	}
 }
 
-// stealingPool distributes tasks over per-process deques.  Termination
-// uses an outstanding counter (queued + executing tasks); idle processes
-// spin briefly, then park on a condition variable that Put and the final
-// Done poke.
+// stealingPool distributes tasks over per-process deques.  It keeps no
+// count of queued or executing tasks: it ends when its last worker goes
+// idle.  A worker counts itself idle only once its own hand and deque
+// are empty, and uncounts itself before any steal or hand raid, so
+// while every worker is counted idle no task is queued, none is
+// executing, and none can be put again.  Put and Done touch no shared
+// counter.  Idle workers wait through poison.Await on one waiter set:
+// a Put wakes one of them, and termination wakes them all.
 //
 // Each process additionally keeps one "hand" slot (the Go scheduler's
 // runnext idea): a freshly put task parks there, displacing the previous
@@ -151,27 +152,24 @@ func NewPool(kind PoolKind, np int, seed []any, cell *poison.Cell) Pool {
 // a box moves hand → deque → claimant and returns to the claimant's free
 // list for its next Put.
 type stealingPool struct {
-	np          int
-	deques      []*Deque[any]
-	hands       []handSlot
-	free        []freeList
-	outstanding atomic.Int64
+	np     int
+	deques []*Deque[any]
+	hands  []handSlot
+	free   []freeList
+	pc     *poison.Cell
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	sleepers atomic.Int32 // processes parked (or committing to park); mutated under mu
-
-	pc    *poison.Cell
-	unsub func()
+	// sleepers is read by every Put; idle and done are written by idle
+	// workers only, on a line of their own.
+	sleepers poison.Sleepers
+	_        [48]byte
+	idle     atomic.Int32 // workers counted idle
+	done     atomic.Bool  // every worker was idle at once: the pool drained
+	_        [56]byte
 }
 
-// Close cancels the pool's poison subscription.
-func (p *stealingPool) Close() {
-	if p.unsub != nil {
-		p.unsub()
-		p.unsub = nil
-	}
-}
+// Close is a no-op: idle workers park on the pool's own waiter set,
+// which holds no subscription on the poison cell.
+func (p *stealingPool) Close() {}
 
 // handSlot holds the owner's newest task as an atomic box pointer;
 // padded so neighbouring slots do not false-share a cache line.
@@ -214,79 +212,82 @@ func (p *stealingPool) unbox(pid int, b *any) any {
 }
 
 func (p *stealingPool) Put(pid int, task any) {
-	p.outstanding.Add(1)
 	b := p.box(pid, task)
 	if old := p.hands[pid].p.Swap(b); old != nil {
 		p.deques[pid].PushRef(old)
 	}
-	// The swap (seq-cst RMW) precedes this load; a parker increments
-	// sleepers (seq-cst) before re-checking hands and deques, so one
-	// side always observes the other — the classic Dekker handshake.
-	// One task wakes one worker: a woken worker that loses the ensuing
-	// steal race re-parks, and the drain broadcast in Done catches
-	// stragglers.
-	if p.sleepers.Load() > 0 {
-		p.mu.Lock()
-		p.cond.Signal()
-		p.mu.Unlock()
-	}
+	// The swap is a seq-cst RMW before Wake's load of the waiter count;
+	// a parking worker registers before it re-seeks (see Sleepers).
+	p.sleepers.Wake()
 }
 
-func (p *stealingPool) Done(pid int) {
-	if p.outstanding.Add(-1) == 0 {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}
-}
+func (p *stealingPool) Done(pid int) {}
 
 func (p *stealingPool) Next(pid int) (any, bool) {
-	own := p.deques[pid]
 	if b := p.hands[pid].p.Swap(nil); b != nil {
 		return p.unbox(pid, b), true
 	}
-	for spin := 0; ; spin++ {
-		p.pc.Check()
-		if b, ok := own.PopRef(); ok {
-			return p.unbox(pid, b), true
-		}
-		faultinject.Fire(faultinject.EngineSteal, pid, p.pc)
-		for i := 1; i < p.np; i++ {
-			if b, ok := p.stealHalf(own, p.deques[(pid+i)%p.np]); ok {
-				return p.unbox(pid, b), true
-			}
-		}
-		if p.outstanding.Load() == 0 {
-			return nil, false
-		}
-		if spin < 2 {
-			runtime.Gosched()
-			continue
-		}
-		// Last resort before parking: raid the hand slots.  Raids stay
-		// off the steal sweep to preserve the owners' locality; they
-		// only matter when every deque is dry — either momentarily, or
-		// because a putter is blocked inside its body with the
-		// successor task still in its hand.
-		faultinject.Fire(faultinject.EngineHand, pid, p.pc)
-		for i := 1; i < p.np; i++ {
-			if b := p.hands[(pid+i)%p.np].p.Swap(nil); b != nil {
-				return p.unbox(pid, b), true
-			}
-		}
-		// Park until a Put lands, the pool drains, the force is
-		// poisoned, or a steal race we lost leaves visible work to
-		// re-contest.  A poison wake falls through to the loop head,
-		// whose Check unwinds this process.
-		faultinject.Fire(faultinject.EnginePark, pid, p.pc)
-		p.mu.Lock()
-		p.sleepers.Add(1)
-		for !p.workVisible() && p.outstanding.Load() > 0 && !p.pc.Poisoned() {
-			p.cond.Wait()
-		}
-		p.sleepers.Add(-1)
-		p.mu.Unlock()
+	p.pc.Check()
+	if b, ok := p.deques[pid].PopRef(); ok {
+		return p.unbox(pid, b), true
 	}
+	// Own hand and deque are empty: idle until work turns up elsewhere.
+	if p.goIdle() {
+		return nil, false
+	}
+	var got *any
+	seek := func() bool {
+		got = p.seek(pid)
+		return got != nil || p.done.Load()
+	}
+	if !seek() {
+		// Park until a Put lands or the pool drains.  A poisoning
+		// unwinds the wait with poison.Abort.
+		faultinject.Fire(faultinject.EnginePark, pid, p.pc)
+		poison.Await(p.pc, &p.sleepers, seek)
+	}
+	if got == nil {
+		return nil, false
+	}
+	return p.unbox(pid, got), true
+}
+
+// goIdle counts the calling worker idle and reports whether that made
+// every worker idle, in which case the pool has drained.
+func (p *stealingPool) goIdle() bool {
+	if p.idle.Add(1) < int32(p.np) {
+		return false
+	}
+	p.done.Store(true)
+	p.sleepers.Wake() // the woken waiter relays the wake to the rest
+	return true
+}
+
+// seek looks for a task outside the idle worker's own hand and deque:
+// steals from the other deques first, then raids the other hands, so
+// owners keep their newest tasks while the deques hold work.  The
+// worker is uncounted while it looks.  It returns nil when it found
+// nothing (or the pool drained, which seek may detect itself).
+func (p *stealingPool) seek(pid int) *any {
+	if p.done.Load() || !p.workVisible() {
+		return nil
+	}
+	p.idle.Add(-1)
+	own := p.deques[pid]
+	faultinject.Fire(faultinject.EngineSteal, pid, p.pc)
+	for i := 1; i < p.np; i++ {
+		if b, ok := p.stealHalf(own, p.deques[(pid+i)%p.np]); ok {
+			return b
+		}
+	}
+	faultinject.Fire(faultinject.EngineHand, pid, p.pc)
+	for i := 1; i < p.np; i++ {
+		if b := p.hands[(pid+i)%p.np].p.Swap(nil); b != nil {
+			return b
+		}
+	}
+	p.goIdle()
+	return nil
 }
 
 // stealHalf takes one task from the victim and migrates up to half of the

@@ -85,7 +85,7 @@ type Profile struct {
 	// locks may be scarce resources"; profiles with the flag set keep
 	// lock-hungry programs honest in the conformance report.
 	ScarceLocks bool
-	// Hardware full/empty support is implied by Async == Channel.
+	// Hardware full/empty support is implied by Async == FullEmpty.
 }
 
 // LockFactory returns the define_lock constructor for this machine.
@@ -124,14 +124,14 @@ func (p Profile) PayCreationCost() {
 // (fork-copy ≫ fork-shared-data ≫ create-call) at magnitudes small enough
 // for fast tests.
 var (
-	// HEP: Denelcor HEP — hardware full/empty bit on every memory cell,
-	// process creation by subroutine call, compile-time sharing through
-	// COMMON.
+	// HEP: Denelcor HEP — hardware full/empty bit on every memory cell
+	// (modeled by one atomic state word per asynchronous cell), process
+	// creation by subroutine call, compile-time sharing through COMMON.
 	HEP = Profile{
 		Name:         "hep",
-		Description:  "Denelcor HEP: hardware full/empty memory, create-call processes, compile-time sharing",
+		Description:  "Denelcor HEP: hardware full/empty memory (atomic full/empty words), create-call processes, compile-time sharing",
 		Lock:         lock.TTAS, // generic locks synthesized over F/E cells; spin-class behaviour
-		Async:        asyncvar.Channel,
+		Async:        asyncvar.FullEmpty,
 		Creation:     CreateCall,
 		CreationCost: 2 * time.Microsecond,
 		ShmPolicy:    shm.CompileTime,
@@ -204,9 +204,9 @@ var (
 	// primitives, zero creation cost.
 	Native = Profile{
 		Name:         "native",
-		Description:  "native Go: sync.Mutex locks, channel async vars, free creation",
+		Description:  "native Go: sync.Mutex locks, atomic full/empty async vars, free creation",
 		Lock:         lock.System,
-		Async:        asyncvar.Channel,
+		Async:        asyncvar.FullEmpty,
 		Creation:     CreateCall,
 		CreationCost: 0,
 		ShmPolicy:    shm.RunTimePadded,

@@ -67,8 +67,8 @@ func TestPaperAssignments(t *testing.T) {
 	}
 	// §4.2: only the HEP has hardware full/empty.
 	for _, p := range Historical() {
-		wantChannel := p.Name == "hep"
-		if (p.Async == asyncvar.Channel) != wantChannel {
+		wantFullEmpty := p.Name == "hep"
+		if (p.Async == asyncvar.FullEmpty) != wantFullEmpty {
 			t.Errorf("%s: async impl %v", p.Name, p.Async)
 		}
 	}

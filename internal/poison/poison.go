@@ -12,7 +12,7 @@
 // first-class runtime service; this package is that service for the
 // Force.
 //
-// The protocol has three parts:
+// The protocol has four parts:
 //
 //   - Cell: an atomic poison flag plus a first-failure slot.  The first
 //     process to fail records its panic value and poisons the cell
@@ -23,17 +23,24 @@
 //   - Abort: the distinguished panic value blocked peers unwind with
 //     when they observe poison.  The engine recovers Abort at the job
 //     boundary and discards it — the original failure is in the cell.
-//   - Wait: the shared bounded spin-then-park wait policy.  Every
-//     spinning primitive of the runtime (barrier release waits, reduce
+//   - Await and Sleepers: the event-driven park/wake primitive.  A
+//     waiter spins briefly (only while the force is not
+//     oversubscribed), then registers in the condition's Sleepers set
+//     and parks on its wake channel; the releaser wakes it directly,
+//     and a poisoning wakes it through the cell's Done channel.  The
+//     asynchronous variables and the Askfor pool wait through it.
+//   - Wait: the older bounded spin-then-sleep wait policy.  The
+//     remaining spinning primitives (barrier release waits, reduce
 //     episode waits, lock acquisition inside condition-encoding
-//     constructs) waits through it, so a waiter observes poison within
+//     constructs) wait through it, so a waiter observes poison within
 //     one park interval, and an oversubscribed waiter stops pinning a
 //     core instead of spinning unboundedly.
 //
 // A nil *Cell is valid everywhere and means "no poison wired": Poisoned
-// reports false, Check is a no-op, and Wait degenerates to the plain
-// spin-then-park policy.  That keeps the primitives usable standalone
-// (unit tests, benchmarks) without a runtime above them.
+// reports false, Check is a no-op, Wait degenerates to the plain
+// spin-then-park policy, and Await parks at once.  That keeps the
+// primitives usable standalone (unit tests, benchmarks) without a
+// runtime above them.
 package poison
 
 import (
@@ -115,6 +122,7 @@ func (c Cause) String() string {
 // never poisoned.
 type Cell struct {
 	flag atomic.Bool
+	spin atomic.Bool // waiters may spin before parking (SetSpin)
 
 	mu    sync.Mutex
 	val   any
@@ -128,6 +136,21 @@ type Cell struct {
 func NewCell() *Cell {
 	return &Cell{ch: make(chan struct{})}
 }
+
+// SetSpin records whether the force's processes each have a CPU of
+// their own (np <= GOMAXPROCS), which is when Await may spin before it
+// parks.  An oversubscribed force parks at once: a spinning waiter
+// would hold the CPU the process it waits for needs.  Core sets it at
+// the start of every Run.  A no-op on a nil cell.
+func (c *Cell) SetSpin(on bool) {
+	if c != nil {
+		c.spin.Store(on)
+	}
+}
+
+// Spins reports whether Await may spin on this cell before it parks:
+// SetSpin's last value, false on a nil cell.
+func (c *Cell) Spins() bool { return c != nil && c.spin.Load() }
 
 // Poison records v as the force's first failure (CauseFailure) and
 // broadcasts: the wake channel closes and every subscriber hook runs.

@@ -814,6 +814,7 @@ type interpCell struct {
 type interpReport struct {
 	Experiment string       `json:"experiment"`
 	GoMaxProcs int          `json:"gomaxprocs"`
+	NumCPU     int          `json:"numcpu"`
 	Runs       int          `json:"runs"`
 	Results    []interpCell `json:"results"`
 }
@@ -821,25 +822,30 @@ type interpReport struct {
 // expT11 is the interpreter experiment: the same Force kernels executed
 // by the original tree walker (names resolved through string maps on
 // every access, all shared storage serialized by one mutex), by the
-// slot-resolved closure compiler (index-addressed frames, per-variable
-// atomic cells and lock-striped arrays), and by the chunk tier on top
-// of it (uniform subexpressions hoisted out of the loop, whole spans
-// run as tight loops, disjoint shared-array traffic through the striped
-// store's bulk walker), across NP.
+// slot-resolved closure compiler (index-addressed frames, shared
+// scalars and shared-array elements as atomic words), and by the chunk
+// tier on top of it (uniform subexpressions hoisted out of the loop,
+// whole spans run as tight loops, typed element loads and stores),
+// across NP.
 //
 // The shared-heavy kernel is scalar shared traffic — every iteration
 // reads and writes shared scalars, the access pattern the global mutex
 // penalizes even single-process (map lookup + lock per access).  The
 // disjoint-writes kernel sweeps a shared array with each iteration
 // touching its own element: under the tree walker every element store
-// serializes on the one mutex regardless of NP; under the striped store
-// disjoint elements take disjoint stripes.
+// serializes on the one mutex regardless of NP; on the compiled tiers
+// each element is its own atomic word.  The dense-2d kernel is a matrix
+// product over 2-D shared arrays, its inner sequential DO reading two
+// 2-D elements per step, so every access pays a two-subscript offset:
+// the path the 1-D kernels never exercise.
 func expT11(c config) error {
 	sharedN := 200000
 	arrayN, sweeps := 4096, 50
+	denseN := 64
 	if c.quick {
 		sharedN = 20000
 		arrayN, sweeps = 1024, 10
+		denseN = 24
 	}
 	type kernel struct {
 		name  string
@@ -884,8 +890,35 @@ Join
 `, arrayN, arrayN, sweeps, arrayN),
 			iters: arrayN * sweeps,
 		},
+		{
+			name: "dense-2d",
+			src: fmt.Sprintf(`Force DENSE2 of NP ident ME
+Shared Real A(%[1]d, %[1]d), B(%[1]d, %[1]d), C(%[1]d, %[1]d)
+Private Integer I, J, K
+Private Real S
+End Declarations
+Presched DO I = 1, %[1]d
+  DO J = 1, %[1]d
+    A(I, J) = REAL(I + J) * 0.5
+    B(I, J) = REAL(I - J) * 0.25
+  End DO
+End Presched DO
+Presched DO I = 1, %[1]d
+  DO J = 1, %[1]d
+    S = 0.0
+    DO K = 1, %[1]d
+      S = S + A(I, K) * B(K, J)
+    End DO
+    C(I, J) = S
+  End DO
+End Presched DO
+Join
+`, denseN),
+			iters: denseN * denseN * denseN,
+		},
 	}
-	report := interpReport{Experiment: "interp-throughput", GoMaxProcs: runtime.GOMAXPROCS(0), Runs: c.runs}
+	report := interpReport{Experiment: "interp-throughput", GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU: runtime.NumCPU(), Runs: c.runs}
 	perSec := map[string]map[int]float64{} // exec/kernel → np → iters/s
 	for _, k := range kernels {
 		prog, err := forcelang.Parse(k.src)
@@ -897,8 +930,8 @@ Join
 			Header: append([]string{"engine"}, npHeaders(c.npSweep())...),
 			Notes: []string{
 				"tree = map-addressed walker, one mutex around all shared storage",
-				"compiled = slot-resolved typed closures, per-variable atomic cells + striped arrays",
-				"chunked = compiled plus chunk tier: uniform hoisting, bulk striped-store walker, per-span tight loops",
+				"compiled = slot-resolved typed closures, shared scalars and array elements as atomic words",
+				"chunked = compiled plus chunk tier: uniform hoisting, typed element access, per-span tight loops",
 			},
 		}
 		atbl := &stats.Table{
@@ -957,8 +990,10 @@ Join
 	if comp, ch := perSec["compiled/shared-heavy"][1], perSec["chunked/shared-heavy"][1]; comp > 0 {
 		fmt.Printf("chunked vs compiled, shared-heavy, np=1: %.2fx\n", ch/comp)
 	}
-	if comp, ch := perSec["compiled/disjoint-writes"][1], perSec["chunked/disjoint-writes"][1]; comp > 0 {
-		fmt.Printf("chunked vs compiled, disjoint-writes, np=1: %.2fx\n", ch/comp)
+	for _, kn := range []string{"disjoint-writes", "dense-2d"} {
+		if comp, ch := perSec["compiled/"+kn][1], perSec["chunked/"+kn][1]; comp > 0 {
+			fmt.Printf("chunked vs compiled, %s, np=1: %.2fx\n", kn, ch/comp)
+		}
 	}
 	nps := c.npSweep()
 	last := nps[len(nps)-1]

@@ -18,8 +18,8 @@
 //
 // -exec selects the execution engine: "chunked" (the default: the
 // closure compiler plus the chunk tier, running provably safe DOALL
-// bodies as per-span tight loops over the striped store's bulk
-// walker), "compiled" (the per-iteration closure compiler, the chunk
+// bodies as per-span tight loops over typed atomic-word storage),
+// "compiled" (the per-iteration closure compiler, the chunk
 // tier's A/B baseline) or "tree" (the original map-addressed tree
 // walker behind one shared mutex); forcebench T11 measures all three.
 //

@@ -22,11 +22,11 @@
 //		   ├── interp        SPMD interpreter: a resolve pass binds every
 //		   │                 reference to a (storage class, slot) pair and a
 //		   │                 compile pass emits typed closures over
-//		   │                 index-addressed frames — shared scalars are
-//		   │                 atomic cells, shared arrays lock-striped — and
+//		   │                 index-addressed frames — shared scalars and
+//		   │                 shared-array elements are atomic words — and
 //		   │                 a classify pass (uniform vs varying) lets safe
 //		   │                 DOALL bodies run as chunk-compiled tight loops
-//		   │                 over the striped store's bulk walker, with the
+//		   │                 with typed element loads and stores, with the
 //		   │                 per-iteration compiler and the original tree
 //		   │                 walker kept as A/B baselines (forcerun -exec
 //		   │                 chunked|compiled|tree, forcebench T11); a fuse

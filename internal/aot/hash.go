@@ -32,8 +32,9 @@ import (
 // the program and the options, not the runtime library, so a warm
 // cache would otherwise keep serving binaries linked against the old
 // runtime.  Version 3: asynchronous variables and the Askfor pool wait
-// through poison.Await.
-const formatVersion = 3
+// through poison.Await.  Version 4: Resolve components share the
+// parent force's named locks, so Critical excludes across components.
+const formatVersion = 4
 
 // normalizeOpts applies the same defaulting codegen does, so an unset
 // option and its explicit default produce one key.

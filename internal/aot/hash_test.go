@@ -145,16 +145,16 @@ func TestKeySensitiveToOptions(t *testing.T) {
 }
 
 // TestKeyFormatVersion: the format version is part of the key, and it
-// is at 3, the bump that retires binaries linked against the runtime
-// whose asynchronous variables and Askfor pool predate poison.Await.
-// A warm cache must not serve those for an unchanged program.
+// is at 4, the bump that retires binaries linked against the runtime
+// whose Resolve components each had their own named locks.  A warm
+// cache must not serve those for an unchanged program.
 func TestKeyFormatVersion(t *testing.T) {
-	if formatVersion != 3 {
-		t.Fatalf("formatVersion = %d, want 3", formatVersion)
+	if formatVersion != 4 {
+		t.Fatalf("formatVersion = %d, want 4", formatVersion)
 	}
 	prog := forcelang.MustParse(hashBase)
-	if Key(prog, Options{}) == keyAt(2, prog, Options{}) {
-		t.Error("a version-2 key is still served for an unchanged program")
+	if Key(prog, Options{}) == keyAt(3, prog, Options{}) {
+		t.Error("a version-3 key is still served for an unchanged program")
 	}
 	if Key(prog, Options{}) != keyAt(formatVersion, prog, Options{}) {
 		t.Error("Key does not hash the current format version")

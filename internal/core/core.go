@@ -1047,8 +1047,9 @@ type Component struct {
 // a second pass, preserving the all-components-execute guarantee).  Each
 // component's body runs on a scoped sub-force: inside it, sp.ID() ranges
 // over the component's processes, sp.NP() is the component's size, and
-// barriers, loops and critical sections are private to the component.
-// The construct closes with a full-force barrier.
+// barriers and loops are private to the component.  Critical sections
+// are not: a name excludes every process of the force, whichever
+// component it runs in.  The construct closes with a full-force barrier.
 func (p *Proc) Resolve(components ...Component) {
 	p.f.pc.Check()
 	seq := p.nextSeq()
@@ -1175,9 +1176,9 @@ func planResolve(f *Force, components []Component) *resolvePlan {
 }
 
 // newSubForce builds a scoped force sharing the parent's machine profile
-// but with its own barrier, locks, construct table and stats.  Sub-forces
-// have no workers of their own: their processes are the parent's workers,
-// re-scoped.
+// and named locks, but with its own barrier, construct table and stats.
+// Sub-forces have no workers of their own: their processes are the
+// parent's workers, re-scoped.
 func newSubForce(parent *Force, np int) *Force {
 	sub := &Force{
 		np:        np,
@@ -1197,7 +1198,12 @@ func newSubForce(parent *Force, np int) *Force {
 	}
 	sub.bar = barrier.New(sub.barKind, np, sub.profile.LockFactory())
 	barrier.SetPoison(sub.bar, sub.pc)
-	sub.locks = lock.NewSet(sub.profile.LockFactory())
+	// A Critical name is one section force-wide (§3.4): components
+	// entering the same name exclude each other, so they share the
+	// parent's set.  recoverAborted replaces the parent's set and drops
+	// every plan together, so the next Run's sub-forces share the new
+	// set.
+	sub.locks = parent.locks
 	sub.initFusedEps()
 	return sub
 }

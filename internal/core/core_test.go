@@ -1,11 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/barrier"
 	"repro/internal/machine"
@@ -602,5 +604,36 @@ func TestQuickAskforConservation(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCriticalExclusiveAcrossResolve: a Critical name excludes every
+// process of the force, not only the processes of one Resolve
+// component.  Two one-process components at np=2 each enter
+// Critical "inner", count the occupants, and wait up to 20 ms inside
+// for a peer to show up; if the components had separate lock sets,
+// both would be inside within that window and the count would reach 2.
+func TestCriticalExclusiveAcrossResolve(t *testing.T) {
+	f := New(2)
+	defer f.Close()
+	var inside, peak atomic.Int32
+	body := func(sp *Proc) {
+		sp.Critical("inner", func() {
+			n := inside.Add(1)
+			for deadline := time.Now().Add(20 * time.Millisecond); n < 2 && time.Now().Before(deadline); {
+				runtime.Gosched()
+				n = inside.Load()
+			}
+			if n > peak.Load() {
+				peak.Store(n)
+			}
+			inside.Add(-1)
+		})
+	}
+	f.Run(func(p *Proc) {
+		p.Resolve(Component{Weight: 1, Body: body}, Component{Weight: 1, Body: body})
+	})
+	if got := peak.Load(); got != 1 {
+		t.Fatalf("%d processes inside Critical inner at once across Resolve components", got)
 	}
 }

@@ -735,6 +735,40 @@ Barrier
 End Barrier
 Join
 `},
+	// A prescheduled pair over a 2-D array: the first member writes
+	// C(I,J) and the second reads C(I,K), J and K sequential DO
+	// indices.  Only the first subscript is shared and index-affine, and
+	// it pins every access of iteration I to row I, so C is row-disjoint
+	// across iterations and the pair fuses: the cyclic map runs
+	// iteration I of both members on one process, in member order.
+	{"fuse-presched-rows", 0, `Force FROWS of NP ident ME
+Shared Real C(24, 12)
+Shared Real R(24)
+Private Integer I, J, K
+Private Real T
+End Declarations
+Presched DO I = 1, 24
+  DO J = 1, 12
+    C(I, J) = REAL(I * J) * 0.5 + REAL(J)
+  End DO
+End Presched DO
+Presched DO I = 1, 24
+  T = 0.0
+  DO K = 1, 12
+    T = T + C(I, K) * REAL(K)
+  End DO
+  R(I) = T
+End Presched DO
+Barrier
+  T = 0.0
+  DO I = 1, 24
+    T = T + R(I) * REAL(I)
+  End DO
+  Print NINT(T)
+  Print C(24, 12), R(7)
+End Barrier
+Join
+`},
 	// The second DOALL reads A mirrored (A(97-I)): the combined uses of
 	// A are NOT element-disjoint across iterations, so the region must
 	// keep its barrier — fusing would let one process read elements a

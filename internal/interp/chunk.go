@@ -14,9 +14,9 @@ package interp
 //     slots; the iteration loop reads slots.  Only non-panicking
 //     expressions hoist (no integer division, MOD or SQRT), so hoisting
 //     can never surface an error a per-iteration run would not.
-//   - accesses to disjoint-proven shared arrays go through one
-//     stripeWalker that holds a single stripe lock across consecutive
-//     elements (store.go); everything else keeps per-element striping.
+//   - shared-array elements are atomic words (store.go), loaded and
+//     stored typed: a REAL element read is one atomic load and a
+//     float64 conversion, with no boxed value in between.
 //   - accumulator scalars (S = S + e, S = MAX(S, e), S = MIN(S, e))
 //     accumulate into a private per-chunk slot and fold into the shared
 //     cell with one atomic RMW at chunk end — an add for sums, a strict
@@ -44,14 +44,12 @@ import (
 const poisonEvery = 256
 
 // kctx is the per-construct chunk context: the live loop indices, the
-// hoisted uniform values, the bulk stripe walker and the private
-// accumulator slots.
+// hoisted uniform values and the private accumulator slots.
 type kctx struct {
 	i, j int64 // current loop index values
 	uniI []int64
 	uniR []float64
 	uniB []bool
-	w    stripeWalker
 	accI []int64
 	accR []float64
 }
@@ -148,8 +146,7 @@ func (c *compiler) tryChunkParDo(t *forcelang.ParDo, lay *unitLayout) stmtFn {
 // construct inside a sequential loop executes many times per run, and
 // every execution would otherwise reallocate the context and its slot
 // slices.  A context is returned to the pool only on normal completion
-// (flushed accumulators, released walker), so a poisoned unwind simply
-// abandons it.
+// (flushed accumulators), so a poisoned unwind simply abandons it.
 func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPlan, open bool) stmtFn {
 	k := &kcompiler{c: c, lay: lay, plan: plan}
 	body := k.stmts(t.Body)
@@ -190,7 +187,6 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 				if stride > 1 {
 					cnt = (cnt + stride - 1) / stride
 				}
-				defer kc.w.release()
 				i := base + int64(lo)*incr
 				di := int64(stride) * incr
 				ctr := 0
@@ -203,7 +199,6 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 						pr.p.Check()
 					}
 				}
-				kc.w.release()
 				storeVar(pr, fr, i-di)
 				kc.flush(accCells)
 			}
@@ -243,7 +238,6 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 			if hi <= lo {
 				return
 			}
-			defer kc.w.release()
 			ctr := 0
 			var li, lj int64
 			for kk := lo; kk < hi; kk += stride {
@@ -255,7 +249,6 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 					pr.p.Check()
 				}
 			}
-			kc.w.release()
 			storeVar(pr, fr, li)
 			storeInner(pr, fr, lj)
 			kc.flush(accCells)
@@ -388,24 +381,35 @@ func (k *kcompiler) assign(t *forcelang.Assign) kstmtFn {
 		}
 		panic(compileErrf("line %d: internal: chunked assignment to %s", t.Pos(), t.Target.Name))
 	}
-	ev := k.kValAs(t.Expr, tt)
+	// Element stores evaluate the right-hand side before the subscripts,
+	// as on the per-iteration path.
 	switch sym.class {
 	case scSharedArray:
-		arr := k.c.in.array(sym.unit, sym.slot)
-		off := k.kOffset(sym.decl.Dims, t.Target.Subs, t.Target.Name, t.Pos())
-		if k.plan.disjoint[t.Target.Name] {
+		arr, off, _ := k.kSharedElem(&t.Target)
+		switch tt {
+		case forcelang.TInt:
+			iv := k.kAsInt(t.Expr)
 			return func(pr *cproc, fr *frame, kc *kctx) {
-				v := ev(pr, fr, kc)
-				kc.w.storeAt(arr, off(pr, fr, kc), v)
+				v := iv(pr, fr, kc)
+				arr.storeInt(off(pr, fr, kc), v)
 			}
-		}
-		return func(pr *cproc, fr *frame, kc *kctx) {
-			v := ev(pr, fr, kc)
-			arr.store(off(pr, fr, kc), v)
+		case forcelang.TReal:
+			rv := k.kReal(t.Expr)
+			return func(pr *cproc, fr *frame, kc *kctx) {
+				v := rv(pr, fr, kc)
+				arr.storeReal(off(pr, fr, kc), v)
+			}
+		default:
+			bv := k.kBool(t.Expr)
+			return func(pr *cproc, fr *frame, kc *kctx) {
+				v := bv(pr, fr, kc)
+				arr.storeBool(off(pr, fr, kc), v)
+			}
 		}
 	case scPrivArray:
 		slot := sym.slot
 		off := k.kOffset(sym.decl.Dims, t.Target.Subs, t.Target.Name, t.Pos())
+		ev := k.kValAs(t.Expr, tt)
 		return func(pr *cproc, fr *frame, kc *kctx) {
 			v := ev(pr, fr, kc)
 			fr.arrs[slot].data[off(pr, fr, kc)] = v
@@ -481,17 +485,23 @@ func (k *kcompiler) kOffset(dims []int, subs []forcelang.Expr, name string, line
 	fns := k.kIntFns(subs)
 	if len(dims) == 1 {
 		d0, s0 := dims[0], fns[0]
-		return func(pr *cproc, fr *frame, kc *kctx) int {
-			s := s0(pr, fr, kc)
-			if s < 1 || s > int64(d0) {
-				panic(rtErrf(line, "subscript 1 of %s out of range: %d not in [1,%d]", name, s, d0))
-			}
-			return int(s - 1)
-		}
+		return func(pr *cproc, fr *frame, kc *kctx) int { return offset1(d0, s0(pr, fr, kc), name, line) }
 	}
+	d0, d1, s0, s1 := dims[0], dims[1], fns[0], fns[1]
 	return func(pr *cproc, fr *frame, kc *kctx) int {
-		return flatOffset(dims, evalKSubs(fns, pr, fr, kc), name, line)
+		i := s0(pr, fr, kc)
+		return offset2(d0, d1, i, s1(pr, fr, kc), name, line)
 	}
+}
+
+// kSharedElem mirrors sharedElem: the array and compiled element offset
+// of a subscripted shared-array reference; ok is false for any other.
+func (k *kcompiler) kSharedElem(t *forcelang.Ref) (arr *sharedArray, off func(pr *cproc, fr *frame, kc *kctx) int, ok bool) {
+	sym := k.lay.lookup(t.Name, t.Pos())
+	if len(t.Subs) == 0 || sym.class != scSharedArray {
+		return nil, nil, false
+	}
+	return k.c.in.array(sym.unit, sym.slot), k.kOffset(sym.decl.Dims, t.Subs, t.Name, t.Pos()), true
 }
 
 func (k *kcompiler) kIntFns(exprs []forcelang.Expr) []kintFn {
@@ -502,8 +512,8 @@ func (k *kcompiler) kIntFns(exprs []forcelang.Expr) []kintFn {
 	return out
 }
 
-func evalKSubs(fns []kintFn, pr *cproc, fr *frame, kc *kctx) []int64 {
-	out := make([]int64, len(fns))
+// evalKSubs mirrors evalSubs against the chunk context.
+func evalKSubs(fns []kintFn, pr *cproc, fr *frame, kc *kctx) (out [maxDims]int64) {
 	for i, f := range fns {
 		out[i] = f(pr, fr, kc)
 	}
@@ -686,11 +696,15 @@ func (k *kcompiler) kRefInt(t *forcelang.Ref) kintFn {
 			return func(pr *cproc, fr *frame, kc *kctx) int64 { return cell.loadInt() }
 		}
 	}
+	if arr, off, ok := k.kSharedElem(t); ok {
+		return func(pr *cproc, fr *frame, kc *kctx) int64 { return arr.loadInt(off(pr, fr, kc)) }
+	}
 	lv := k.kRefLoad(t)
 	return func(pr *cproc, fr *frame, kc *kctx) int64 { return lv(pr, fr, kc).i }
 }
 
-// kRefLoad mirrors refLoad: the boxed load of any reference.
+// kRefLoad mirrors refLoad: the boxed load of a variable, private-array
+// element or parameter reference.
 func (k *kcompiler) kRefLoad(t *forcelang.Ref) kvalFn {
 	sym := k.lay.lookup(t.Name, t.Pos())
 	if len(t.Subs) == 0 {
@@ -708,13 +722,6 @@ func (k *kcompiler) kRefLoad(t *forcelang.Ref) kvalFn {
 		panic(compileErrf("line %d: %s cannot be read directly", t.Pos(), t.Name))
 	}
 	switch sym.class {
-	case scSharedArray:
-		arr := k.c.in.array(sym.unit, sym.slot)
-		off := k.kOffset(sym.decl.Dims, t.Subs, t.Name, t.Pos())
-		if k.plan.disjoint[t.Name] {
-			return func(pr *cproc, fr *frame, kc *kctx) value { return kc.w.loadAt(arr, off(pr, fr, kc)) }
-		}
-		return func(pr *cproc, fr *frame, kc *kctx) value { return arr.load(off(pr, fr, kc)) }
 	case scPrivArray:
 		slot := sym.slot
 		off := k.kOffset(sym.decl.Dims, t.Subs, t.Name, t.Pos())
@@ -725,7 +732,8 @@ func (k *kcompiler) kRefLoad(t *forcelang.Ref) kvalFn {
 		name, line := t.Name, t.Pos()
 		return func(pr *cproc, fr *frame, kc *kctx) value {
 			ar := fr.params[idx].ar
-			return ar.load(flatOffset(ar.shape(), evalKSubs(subs, pr, fr, kc), name, line))
+			s := evalKSubs(subs, pr, fr, kc)
+			return ar.load(flatOffset(ar.shape(), s[:len(subs)], name, line))
 		}
 	}
 	panic(compileErrf("line %d: %s is not an array", t.Pos(), t.Name))
@@ -823,6 +831,9 @@ func (k *kcompiler) kRefReal(t *forcelang.Ref) krealFn {
 			return func(pr *cproc, fr *frame, kc *kctx) float64 { return cell.loadReal() }
 		}
 	}
+	if arr, off, ok := k.kSharedElem(t); ok {
+		return func(pr *cproc, fr *frame, kc *kctx) float64 { return arr.loadReal(off(pr, fr, kc)) }
+	}
 	lv := k.kRefLoad(t)
 	return func(pr *cproc, fr *frame, kc *kctx) float64 { return lv(pr, fr, kc).r }
 }
@@ -887,6 +898,9 @@ func (k *kcompiler) kBool(e forcelang.Expr) kboolFn {
 				cell := k.c.in.scalar(sym.unit, sym.slot)
 				return func(pr *cproc, fr *frame, kc *kctx) bool { return cell.loadBool() }
 			}
+		}
+		if arr, off, ok := k.kSharedElem(t); ok {
+			return func(pr *cproc, fr *frame, kc *kctx) bool { return arr.loadBool(off(pr, fr, kc)) }
 		}
 		lv := k.kRefLoad(t)
 		return func(pr *cproc, fr *frame, kc *kctx) bool { return lv(pr, fr, kc).b }

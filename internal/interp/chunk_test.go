@@ -83,10 +83,11 @@ func classify(t *testing.T, src string) (*chunkPlan, string) {
 	return nil, ""
 }
 
-// TestClassifyDisjoint pins the disjointness proof: an identity
-// subscript on the written array chunks with walker access, a
-// non-affine subscript keeps the array on striped access, and a
-// constant subscript (every iteration the same element) does too.
+// TestClassifyDisjoint pins the disjointness proof the fusion pass
+// relies on: an identity subscript on the written array is proven
+// disjoint; a non-affine subscript and a constant subscript (every
+// iteration the same element) are not, though all three bodies still
+// chunk-compile.
 func TestClassifyDisjoint(t *testing.T) {
 	plan, reason := classify(t, `Force C of NP ident ME
 Shared Real A(64)

@@ -12,14 +12,13 @@ package interp
 //     (loop-invariant for the executing process) exactly when it depends
 //     on no loop index and no written name; uniform subexpressions are
 //     hoisted out of the iteration loop by the chunk compiler.
-//   - which written shared arrays are PROVABLY DISJOINT: every access
-//     uses one identical subscript form, affine in the loop indices with
-//     literal coefficients and an index-free remainder, and that form is
-//     injective on the index space (nonzero coefficient for one index,
-//     a nonsingular 2x2 minor for two).  Disjoint arrays are accessed
-//     through the striped store's bulk walker; everything else keeps the
-//     per-element stripe discipline (same-element writes stay correct,
-//     they just do not amortize).
+//   - which written shared arrays are PROVABLY DISJOINT: no element is
+//     touched by two iterations (uniform.Space.Disjoint: for one index,
+//     a subscript position with one form across all accesses, affine
+//     with a nonzero index coefficient; for two, one form per array
+//     injective on the index pair).  This is a fusion-legality fact
+//     only (fuse.go): every shared-array element is an atomic word, so
+//     the chunk loop accesses disjoint and overlapping arrays alike.
 //   - which shared scalars are pure accumulators: every appearance in
 //     the body is one accumulator shape over the same operator —
 //     `S = S + e` / `S = S - e` with an INTEGER right-hand side (sums
@@ -30,11 +29,11 @@ package interp
 //     privately per chunk and fold into the cell with one atomic RMW:
 //     an add for sums, a compare-and-swap race for extrema.
 //
-// A body that reads or writes subroutine parameters disables the bulk
-// walker and the accumulator folding (a parameter may alias any shared
-// cell or element, so holding a stripe across a parameter access could
-// self-deadlock, and folding could reorder aliased writes); the body
-// still chunk-compiles with per-element access.
+// A body that reads subroutine parameters gets neither disjointness
+// facts nor accumulator folding (a parameter may alias any shared cell
+// or element, so a name-based disjointness proof says nothing about the
+// alias, and folding could reorder aliased writes); the body still
+// chunk-compiles, and such a region never fuses.
 
 import (
 	"fmt"
@@ -53,11 +52,12 @@ type chunkPlan struct {
 	// (including sequential DO indices).  References to written names
 	// are varying; everything else index-free is uniform.
 	written map[string]bool
-	// noBulk disables the stripe walker and accumulator folding
+	// noBulk disables the disjointness facts and accumulator folding
 	// (parameter references present).
 	noBulk bool
 	// disjoint holds the written shared arrays proven element-disjoint
-	// across iterations; their accesses compile to walker accesses.
+	// across iterations: the fusion pass's licence to elide the barrier
+	// between members that share them.
 	disjoint map[string]bool
 	// accs maps accumulator scalars to their private-slot index.
 	accs map[string]int
@@ -275,7 +275,7 @@ func (cl *classifier) matchAccum(sym symbol, t *forcelang.Assign) (accOp, bool) 
 }
 
 // expr records every reference inside e: scalar reads, parameter uses
-// (which disable the bulk tier) and shared-array element reads.
+// (which set noBulk) and shared-array element reads.
 func (cl *classifier) expr(e forcelang.Expr) {
 	uniform.Walk(e, func(r *forcelang.Ref) {
 		sym, ok := cl.lay.syms[r.Name]
@@ -296,8 +296,8 @@ func (cl *classifier) expr(e forcelang.Expr) {
 	})
 }
 
-// planArrays promotes written shared arrays to walker access when every
-// access provably lands on a per-iteration-private element.
+// planArrays records the written shared arrays whose every access
+// provably lands on a per-iteration-private element.
 func (cl *classifier) planArrays() {
 	if cl.plan.noBulk {
 		return
@@ -314,8 +314,8 @@ func (cl *classifier) planArrays() {
 			}
 		}
 		if !written {
-			// Read-only arrays keep per-element striped loads: the
-			// walker's mutex would serialize concurrent readers.
+			// Read-only arrays cannot conflict, so fusion needs no
+			// fact about them.
 			continue
 		}
 		if cl.disjointUses(uses) {

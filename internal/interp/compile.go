@@ -4,8 +4,8 @@ package interp
 // produces a tree of typed Go closures over index-addressed frames.  All
 // name resolution, type dispatch and operator dispatch happens here,
 // once; execution then runs straight-line closure calls — private
-// variables are direct slot reads, shared scalars single atomic
-// operations, shared array elements stripe-locked element accesses.
+// variables are direct slot reads, shared scalars and shared array
+// elements single atomic word operations.
 // Expressions whose static type the checker knows compile to unboxed
 // int64/float64/bool closures, so arithmetic never touches the boxed
 // value representation between a load and a store.
@@ -99,6 +99,37 @@ func (c *compiler) sharedAdd(t *forcelang.Assign, lay *unitLayout) stmtFn {
 	return func(pr *cproc, fr *frame) { cell.addInt(d(pr, fr)) }
 }
 
+// sharedElemAssign compiles a store into a shared-array element as one
+// typed atomic store, the right-hand side unboxed from evaluation to
+// the element word; nil for any other target.  The right-hand side is
+// evaluated before the subscripts, the order of every other store path.
+func (c *compiler) sharedElemAssign(t *forcelang.Assign, lay *unitLayout) stmtFn {
+	arr, off, ok := c.sharedElem(&t.Target, lay)
+	if !ok {
+		return nil
+	}
+	switch arr.t {
+	case forcelang.TInt:
+		iv := c.asInt(t.Expr, lay)
+		return func(pr *cproc, fr *frame) {
+			v := iv(pr, fr)
+			arr.storeInt(off(pr, fr), v)
+		}
+	case forcelang.TReal:
+		rv := c.cReal(t.Expr, lay)
+		return func(pr *cproc, fr *frame) {
+			v := rv(pr, fr)
+			arr.storeReal(off(pr, fr), v)
+		}
+	default:
+		bv := c.cBool(t.Expr, lay)
+		return func(pr *cproc, fr *frame) {
+			v := bv(pr, fr)
+			arr.storeBool(off(pr, fr), v)
+		}
+	}
+}
+
 func (c *compiler) stmts(list []forcelang.Stmt, lay *unitLayout) []stmtFn {
 	if c.fuseEnabled() {
 		return c.fusedStmts(list, lay)
@@ -121,6 +152,9 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 	case *forcelang.Assign:
 		if add := c.sharedAdd(t, lay); add != nil {
 			return add
+		}
+		if st := c.sharedElemAssign(t, lay); st != nil {
+			return st
 		}
 		store, tt := c.refStore(&t.Target, lay)
 		ev := c.valAs(t.Expr, lay, tt)
@@ -510,12 +544,9 @@ func (c *compiler) bindArg(arg *forcelang.Ref, paramDecl forcelang.Decl, lay *un
 				return cparam{sc: elemRef{a: fr.arrs[slot], off: off(pr, fr)}}
 			}
 		case scParam:
-			idx := sym.slot
-			subs := c.intFns(arg.Subs, lay)
-			name, line := arg.Name, arg.Pos()
+			elem := c.paramElem(sym.slot, arg, lay)
 			return func(pr *cproc, fr *frame) cparam {
-				ar := fr.params[idx].ar
-				off := flatOffset(ar.shape(), evalSubs(subs, pr, fr), name, line)
+				ar, off := elem(pr, fr)
 				return cparam{sc: elemRef{a: ar, off: off}}
 			}
 		}
@@ -583,18 +614,18 @@ func (c *compiler) refStore(t *forcelang.Ref, lay *unitLayout) (func(pr *cproc, 
 		off := c.offsetFn(sym.decl.Dims, t.Subs, t.Name, t.Pos(), lay)
 		return func(pr *cproc, fr *frame, v value) { fr.arrs[slot].data[off(pr, fr)] = v }, tt
 	case scParam:
-		idx := sym.slot
-		subs := c.intFns(t.Subs, lay)
-		name, line := t.Name, t.Pos()
+		elem := c.paramElem(sym.slot, t, lay)
 		return func(pr *cproc, fr *frame, v value) {
-			ar := fr.params[idx].ar
-			ar.store(flatOffset(ar.shape(), evalSubs(subs, pr, fr), name, line), v)
+			ar, off := elem(pr, fr)
+			ar.store(off, v)
 		}, tt
 	}
 	panic(compileErrf("line %d: %s is not an array", t.Pos(), t.Name))
 }
 
-// refLoad compiles a load of a variable or array-element reference.
+// refLoad compiles a boxed load of a variable, private-array element or
+// parameter reference; its callers load shared-array elements typed
+// (sharedElem) before falling back here.
 func (c *compiler) refLoad(t *forcelang.Ref, lay *unitLayout) valFn {
 	sym := lay.lookup(t.Name, t.Pos())
 	if len(t.Subs) == 0 {
@@ -612,24 +643,41 @@ func (c *compiler) refLoad(t *forcelang.Ref, lay *unitLayout) valFn {
 		panic(compileErrf("line %d: %s cannot be read directly", t.Pos(), t.Name))
 	}
 	switch sym.class {
-	case scSharedArray:
-		arr := c.in.array(sym.unit, sym.slot)
-		off := c.offsetFn(sym.decl.Dims, t.Subs, t.Name, t.Pos(), lay)
-		return func(pr *cproc, fr *frame) value { return arr.load(off(pr, fr)) }
 	case scPrivArray:
 		slot := sym.slot
 		off := c.offsetFn(sym.decl.Dims, t.Subs, t.Name, t.Pos(), lay)
 		return func(pr *cproc, fr *frame) value { return fr.arrs[slot].data[off(pr, fr)] }
 	case scParam:
-		idx := sym.slot
-		subs := c.intFns(t.Subs, lay)
-		name, line := t.Name, t.Pos()
+		elem := c.paramElem(sym.slot, t, lay)
 		return func(pr *cproc, fr *frame) value {
-			ar := fr.params[idx].ar
-			return ar.load(flatOffset(ar.shape(), evalSubs(subs, pr, fr), name, line))
+			ar, off := elem(pr, fr)
+			return ar.load(off)
 		}
 	}
 	panic(compileErrf("line %d: %s is not an array", t.Pos(), t.Name))
+}
+
+// sharedElem resolves a subscripted shared-array reference to its array
+// and compiled element offset; ok is false for any other reference.
+func (c *compiler) sharedElem(t *forcelang.Ref, lay *unitLayout) (arr *sharedArray, off func(pr *cproc, fr *frame) int, ok bool) {
+	sym := lay.lookup(t.Name, t.Pos())
+	if len(t.Subs) == 0 || sym.class != scSharedArray {
+		return nil, nil, false
+	}
+	return c.in.array(sym.unit, sym.slot), c.offsetFn(sym.decl.Dims, t.Subs, t.Name, t.Pos(), lay), true
+}
+
+// paramElem compiles the element address of a subscripted reference to
+// the array parameter in slot idx, whose extents are known only once
+// the call binds it.
+func (c *compiler) paramElem(idx int, t *forcelang.Ref, lay *unitLayout) func(pr *cproc, fr *frame) (arrayRef, int) {
+	fns := c.intFns(t.Subs, lay)
+	name, line := t.Name, t.Pos()
+	return func(pr *cproc, fr *frame) (arrayRef, int) {
+		ar := fr.params[idx].ar
+		subs := evalSubs(fns, pr, fr)
+		return ar, flatOffset(ar.shape(), subs[:len(fns)], name, line)
+	}
 }
 
 // offsetFn compiles the flat offset of a subscripted reference against
@@ -641,16 +689,12 @@ func (c *compiler) offsetFn(dims []int, subs []forcelang.Expr, name string, line
 	fns := c.intFns(subs, lay)
 	if len(dims) == 1 {
 		d0, s0 := dims[0], fns[0]
-		return func(pr *cproc, fr *frame) int {
-			s := s0(pr, fr)
-			if s < 1 || s > int64(d0) {
-				panic(rtErrf(line, "subscript 1 of %s out of range: %d not in [1,%d]", name, s, d0))
-			}
-			return int(s - 1)
-		}
+		return func(pr *cproc, fr *frame) int { return offset1(d0, s0(pr, fr), name, line) }
 	}
+	d0, d1, s0, s1 := dims[0], dims[1], fns[0], fns[1]
 	return func(pr *cproc, fr *frame) int {
-		return flatOffset(dims, evalSubs(fns, pr, fr), name, line)
+		i := s0(pr, fr)
+		return offset2(d0, d1, i, s1(pr, fr), name, line)
 	}
 }
 
@@ -662,8 +706,8 @@ func (c *compiler) intFns(exprs []forcelang.Expr, lay *unitLayout) []intFn {
 	return out
 }
 
-func evalSubs(fns []intFn, pr *cproc, fr *frame) []int64 {
-	out := make([]int64, len(fns))
+// evalSubs evaluates every subscript, in order, into a stack tuple.
+func evalSubs(fns []intFn, pr *cproc, fr *frame) (out [maxDims]int64) {
 	for i, f := range fns {
 		out[i] = f(pr, fr)
 	}
@@ -764,6 +808,9 @@ func (c *compiler) refInt(t *forcelang.Ref, lay *unitLayout) intFn {
 			return func(pr *cproc, fr *frame) int64 { return int64(cell.bits.Load()) }
 		}
 	}
+	if arr, off, ok := c.sharedElem(t, lay); ok {
+		return func(pr *cproc, fr *frame) int64 { return arr.loadInt(off(pr, fr)) }
+	}
 	lv := c.refLoad(t, lay)
 	return func(pr *cproc, fr *frame) int64 { return lv(pr, fr).i }
 }
@@ -861,6 +908,9 @@ func (c *compiler) refReal(t *forcelang.Ref, lay *unitLayout) realFn {
 			return func(pr *cproc, fr *frame) float64 { return math.Float64frombits(cell.bits.Load()) }
 		}
 	}
+	if arr, off, ok := c.sharedElem(t, lay); ok {
+		return func(pr *cproc, fr *frame) float64 { return arr.loadReal(off(pr, fr)) }
+	}
 	lv := c.refLoad(t, lay)
 	return func(pr *cproc, fr *frame) float64 { return lv(pr, fr).r }
 }
@@ -922,6 +972,9 @@ func (c *compiler) cBool(e forcelang.Expr, lay *unitLayout) boolFn {
 				cell := c.in.scalar(sym.unit, sym.slot)
 				return func(pr *cproc, fr *frame) bool { return cell.bits.Load() != 0 }
 			}
+		}
+		if arr, off, ok := c.sharedElem(t, lay); ok {
+			return func(pr *cproc, fr *frame) bool { return arr.loadBool(off(pr, fr)) }
 		}
 		lv := c.refLoad(t, lay)
 		return func(pr *cproc, fr *frame) bool { return lv(pr, fr).b }

@@ -148,6 +148,7 @@ func logsContain(logs []string, want string) bool {
 func TestFusionDecisions(t *testing.T) {
 	expect := map[string]string{
 		"fuse-presched-chain":              "fused 3 DOALLs",
+		"fuse-presched-rows":               "fused 2 DOALLs",
 		"fuse-overlap-declines":            "conflict on A",
 		"fuse-gsum-tail":                   "GSUM at line",
 		"fuse-gmax-real":                   "GMAX at line",

@@ -20,11 +20,9 @@
 //     of the loop index), and bodies the classifier can prove safe are
 //     compiled (chunk.go) into tight per-span loops — the index lives
 //     in a register-like local, uniform subexpressions are hoisted and
-//     evaluated once per construct, provably disjoint shared-array
-//     accesses go through the striped store's bulk walker (one stripe
-//     lock held across a block of elements instead of one lock pair
-//     per element), and integer read-modify-write accumulations fold
-//     into the shared cell once per process.  Unsafe bodies (calls,
+//     evaluated once per construct, shared-array elements are loaded
+//     and stored as typed atomic words, and read-modify-write
+//     accumulations fold into the shared cell once per chunk.  Unsafe bodies (calls,
 //     critical sections, same-element writes, I/O ordering hazards)
 //     fall back to the per-iteration compiled path, statement for
 //     statement.
@@ -33,8 +31,8 @@
 //     and a compile pass (compile.go) turns the checked AST into a
 //     tree of typed closures over index-addressed frames.  Private
 //     variables are direct slot accesses; shared scalars are
-//     individual atomic cells and shared arrays lock-striped element
-//     stores (store.go), so an interpreted DOALL over disjoint elements
+//     individual atomic cells and shared arrays flat slices of atomic
+//     words (store.go), so an interpreted DOALL over disjoint elements
 //     runs in parallel.  Kept as the chunk tier's A/B baseline.
 //   - ExecTree is the original tree walker: names resolved through
 //     string maps on every access and all shared storage serialized by
@@ -145,7 +143,7 @@ type ExecMode int
 const (
 	// ExecChunked is the compiled engine with the chunk tier enabled:
 	// provably safe DOALL bodies run as per-span tight loops over the
-	// striped store's bulk entry points; everything else runs exactly as
+	// typed atomic-word store; everything else runs exactly as
 	// ExecCompiled.  The default.
 	ExecChunked ExecMode = iota
 	// ExecCompiled resolves every variable reference to a (storage

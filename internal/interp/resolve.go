@@ -29,7 +29,8 @@ const (
 	scPrivArray
 	// scShared is an instance-wide atomic scalar cell.
 	scShared
-	// scSharedArray is an instance-wide lock-striped array.
+	// scSharedArray is an instance-wide array of atomic words, one per
+	// element.
 	scSharedArray
 	// scAsync is an instance-wide full/empty cell (or array of cells).
 	scAsync

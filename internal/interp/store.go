@@ -2,18 +2,18 @@ package interp
 
 // Slot-addressed storage for the compiled executor.  The tree walker
 // serializes every shared access behind one per-run mutex; the compiled
-// executor gives each shared variable its own synchronization instead:
-// scalars become atomic cells (one word suffices once the declared type
-// is fixed) and arrays stripe a small set of cache-line-padded locks
-// over the element space, so accesses to disjoint elements proceed in
-// parallel while accesses to the same element still serialize.  Either
-// way an improperly synchronized Force program remains a well-defined
-// (if nondeterministic) Go program, the same guarantee the global mutex
-// gave.
+// executor makes every shared word its own atomic cell instead: a shared
+// scalar is one atomic word holding the value's bit pattern in the
+// declared type (one word suffices once the type is fixed), and a shared
+// array is a flat slice of such words, one per element.  Accesses to
+// different variables or elements proceed in parallel, and every load
+// or store of one is a single atomic operation, so an improperly
+// synchronized Force program remains a well-defined (if
+// nondeterministic) Go program with per-element atomicity: a racing
+// reader sees some whole stored value, never a torn one.
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/forcelang"
@@ -31,9 +31,14 @@ type sharedScalar struct {
 
 func newSharedScalar(t forcelang.Type) *sharedScalar { return &sharedScalar{t: t} }
 
-func (c *sharedScalar) load() value {
-	b := c.bits.Load()
-	switch c.t {
+func (c *sharedScalar) load() value { return fromBits(c.t, c.bits.Load()) }
+
+// store saves v, which must already be coerced to the cell's type.
+func (c *sharedScalar) store(v value) { c.bits.Store(toBits(c.t, v)) }
+
+// fromBits decodes one stored word of type t.
+func fromBits(t forcelang.Type, b uint64) value {
+	switch t {
 	case forcelang.TInt:
 		return intVal(int64(b))
 	case forcelang.TReal:
@@ -43,20 +48,23 @@ func (c *sharedScalar) load() value {
 	}
 }
 
-// store saves v, which must already be coerced to the cell's type.
-func (c *sharedScalar) store(v value) {
-	var b uint64
-	switch c.t {
+// toBits encodes v, already coerced to t, as one word.
+func toBits(t forcelang.Type, v value) uint64 {
+	switch t {
 	case forcelang.TInt:
-		b = uint64(v.i)
+		return uint64(v.i)
 	case forcelang.TReal:
-		b = math.Float64bits(v.r)
+		return math.Float64bits(v.r)
 	default:
-		if v.b {
-			b = 1
-		}
+		return boolBits(v.b)
 	}
-	c.bits.Store(b)
+}
+
+func boolBits(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Typed accessors for the chunk compiler: the declared type is known at
@@ -68,13 +76,7 @@ func (c *sharedScalar) loadReal() float64   { return math.Float64frombits(c.bits
 func (c *sharedScalar) loadBool() bool      { return c.bits.Load() != 0 }
 func (c *sharedScalar) storeInt(i int64)    { c.bits.Store(uint64(i)) }
 func (c *sharedScalar) storeReal(r float64) { c.bits.Store(math.Float64bits(r)) }
-func (c *sharedScalar) storeBool(b bool) {
-	var u uint64
-	if b {
-		u = 1
-	}
-	c.bits.Store(u)
-}
+func (c *sharedScalar) storeBool(b bool)    { c.bits.Store(boolBits(b)) }
 
 // addInt atomically adds delta to an INTEGER cell.  Two's-complement
 // wraparound makes the uint64 add exact for int64 deltas, so a chunk's
@@ -140,125 +142,38 @@ func (c *sharedScalar) minReal(x float64) {
 	}
 }
 
-// stripeCount bounds the number of locks striped over one shared array.
-const stripeCount = 64
-
-// paddedMutex keeps neighbouring stripe locks on separate cache lines.
-type paddedMutex struct {
-	sync.Mutex
-	_ [56]byte
-}
-
-// sharedArray is one shared array: a flat element slice with a set of
-// padded locks block-striped over the element space.  The mapping is
-// contiguous-block (stripe = off >> shift), not modulo: a chunk of
-// consecutive elements then falls inside at most a few stripes, so the
-// chunk compiler's bulk accessor can hold one stripe across many
-// elements instead of locking per element.  Accesses to different
-// elements usually take different stripes and run in parallel; accesses
-// to the same element always meet on the same stripe.
+// sharedArray is one shared array: a flat slice of atomic words, each
+// holding one element's bit pattern in the array's declared type — the
+// sharedScalar representation, once per element.  Every element load
+// and store is a single atomic operation, so accesses to different
+// elements proceed in parallel and a racy access to the same element
+// still reads one whole stored value, never a torn one.
 type sharedArray struct {
-	dims  []int
-	data  []value
-	locks []paddedMutex
-	// shift maps a flat offset to its stripe: stripe = off >> shift.
-	// Block size is the power of two 1<<shift, chosen as the smallest
-	// that covers the element space with at most stripeCount stripes.
-	shift uint
+	t    forcelang.Type
+	dims []int
+	bits []atomic.Uint64
 }
 
 func newSharedArray(d forcelang.Decl) *sharedArray {
-	n := d.Size()
-	var shift uint
-	for (n+(1<<shift)-1)>>shift > stripeCount {
-		shift++
-	}
-	stripes := (n + (1 << shift) - 1) >> shift
-	if stripes < 1 {
-		stripes = 1
-	}
-	a := &sharedArray{
-		dims:  d.Dims,
-		data:  make([]value, n),
-		locks: make([]paddedMutex, stripes),
-		shift: shift,
-	}
-	zero := value{t: d.Type}
-	for i := range a.data {
-		a.data[i] = zero
-	}
-	return a
+	// The zero word is the zero value of every type: 0, +0.0, .FALSE..
+	return &sharedArray{t: d.Type, dims: d.Dims, bits: make([]atomic.Uint64, d.Size())}
 }
 
 func (a *sharedArray) shape() []int { return a.dims }
 
-func (a *sharedArray) load(off int) value {
-	mu := &a.locks[off>>a.shift].Mutex
-	mu.Lock()
-	v := a.data[off]
-	mu.Unlock()
-	return v
-}
+func (a *sharedArray) load(off int) value { return fromBits(a.t, a.bits[off].Load()) }
 
-func (a *sharedArray) store(off int, v value) {
-	mu := &a.locks[off>>a.shift].Mutex
-	mu.Lock()
-	a.data[off] = v
-	mu.Unlock()
-}
+// store saves v, which must already be coerced to the array's type.
+func (a *sharedArray) store(off int, v value) { a.bits[off].Store(toBits(a.t, v)) }
 
-// stripeWalker is the bulk entry point into the striped store for the
-// chunk compiler: it keeps at most ONE stripe lock held — across all
-// shared arrays a chunk touches — and re-acquires only when an access
-// lands on a different (array, stripe) pair.  A chunk walking an array
-// in index order therefore pays one lock/unlock per stripe-sized block
-// instead of one per element, while same-element accesses from the
-// per-element paths of other processes still meet on the element's
-// stripe lock, keeping racy programs well-defined.
-//
-// Holding a single stripe at a time makes deadlock impossible by
-// construction: the walker never blocks while holding a second lock,
-// and the per-element paths never block while holding any.  release is
-// idempotent and MUST run before the owning process can block elsewhere
-// (scheduler Next, barriers) or unwind on poison — the chunk driver
-// defers it.
-type stripeWalker struct {
-	arr    *sharedArray
-	stripe int
-}
+// Typed element accessors for the compilers, mirroring sharedScalar's.
 
-// ensure makes a's stripe for off the held one, releasing any other.
-func (w *stripeWalker) ensure(a *sharedArray, off int) {
-	s := off >> a.shift
-	if w.arr == a && w.stripe == s {
-		return
-	}
-	if w.arr != nil {
-		w.arr.locks[w.stripe].Unlock()
-	}
-	a.locks[s].Lock()
-	w.arr, w.stripe = a, s
-}
-
-// loadAt reads a.data[off] under the element's stripe lock.
-func (w *stripeWalker) loadAt(a *sharedArray, off int) value {
-	w.ensure(a, off)
-	return a.data[off]
-}
-
-// storeAt writes a.data[off] under the element's stripe lock.
-func (w *stripeWalker) storeAt(a *sharedArray, off int, v value) {
-	w.ensure(a, off)
-	a.data[off] = v
-}
-
-// release drops the held stripe, if any.  Idempotent.
-func (w *stripeWalker) release() {
-	if w.arr != nil {
-		w.arr.locks[w.stripe].Unlock()
-		w.arr = nil
-	}
-}
+func (a *sharedArray) loadInt(off int) int64        { return int64(a.bits[off].Load()) }
+func (a *sharedArray) loadReal(off int) float64     { return math.Float64frombits(a.bits[off].Load()) }
+func (a *sharedArray) loadBool(off int) bool        { return a.bits[off].Load() != 0 }
+func (a *sharedArray) storeInt(off int, i int64)    { a.bits[off].Store(uint64(i)) }
+func (a *sharedArray) storeReal(off int, r float64) { a.bits[off].Store(math.Float64bits(r)) }
+func (a *sharedArray) storeBool(off int, b bool)    { a.bits[off].Store(boolBits(b)) }
 
 // privArray is a private array: per-process (or per-call) storage, no
 // synchronization needed.
@@ -305,7 +220,7 @@ type arrayRef interface {
 }
 
 // elemRef aliases one array element (an element argument at a call
-// site); shared-array elements keep their stripe discipline through it.
+// site); shared-array elements stay single atomic words through it.
 type elemRef struct {
 	a   arrayRef
 	off int
@@ -314,18 +229,44 @@ type elemRef struct {
 func (r elemRef) load() value   { return r.a.load(r.off) }
 func (r elemRef) store(v value) { r.a.store(r.off, v) }
 
+// maxDims is the parser's array rank limit.  Subscript tuples are
+// evaluated into a [maxDims]int64 returned by value, so indexing never
+// heap-allocates.
+const maxDims = 2
+
 // flatOffset converts 1-based subscripts to a flat row-major offset,
-// bounds-checking every dimension.
+// bounds-checking every dimension in order.  The callers evaluate every
+// subscript before calling, so a faulting subscript expression surfaces
+// ahead of any bounds error, the tree walker's order.
 func flatOffset(dims []int, subs []int64, name string, line int) int {
 	if len(subs) != len(dims) {
 		panic(rtErrf(line, "%s: %d subscripts for %d dims", name, len(subs), len(dims)))
 	}
-	off := 0
-	for k, s := range subs {
-		if s < 1 || s > int64(dims[k]) {
-			panic(rtErrf(line, "subscript %d of %s out of range: %d not in [1,%d]", k+1, name, s, dims[k]))
-		}
-		off = off*dims[k] + int(s-1)
+	if len(dims) == 1 {
+		return offset1(dims[0], subs[0], name, line)
 	}
-	return off
+	return offset2(dims[0], dims[1], subs[0], subs[1], name, line)
+}
+
+// offset1 is flatOffset for one dimension of extent d0.
+func offset1(d0 int, s int64, name string, line int) int {
+	if s < 1 || s > int64(d0) {
+		panic(subRangeErr(1, name, s, d0, line))
+	}
+	return int(s - 1)
+}
+
+// offset2 is flatOffset for two dimensions of extents d0 x d1.
+func offset2(d0, d1 int, s0, s1 int64, name string, line int) int {
+	if s0 < 1 || s0 > int64(d0) {
+		panic(subRangeErr(1, name, s0, d0, line))
+	}
+	if s1 < 1 || s1 > int64(d1) {
+		panic(subRangeErr(2, name, s1, d1, line))
+	}
+	return int(s0-1)*d1 + int(s1-1)
+}
+
+func subRangeErr(k int, name string, s int64, d, line int) runtimeErr {
+	return rtErrf(line, "subscript %d of %s out of range: %d not in [1,%d]", k, name, s, d)
 }

@@ -2,9 +2,10 @@ package interp
 
 // Race coverage for the compiled executor's per-variable shared store
 // (run with go test -race, as the CI race job does): concurrent
-// disjoint-element writes through the stripe locks, same-element
-// critical-section read-modify-writes, and asynchronous Produce/Consume
-// flowing through slot-resolved frames.
+// disjoint-element writes to atomic-word arrays, same-element
+// critical-section read-modify-writes, typed element loads racing typed
+// stores, and asynchronous Produce/Consume flowing through
+// slot-resolved frames.
 
 import (
 	"strings"
@@ -15,13 +16,13 @@ import (
 	"repro/internal/shm"
 )
 
-// TestStripedDisjointElementWrites drives an 8-process force through a
-// DOALL whose iterations write disjoint shared-array elements — the
-// pattern the stripe locks exist to parallelize — then folds the array
-// to check no write was lost.  Under ExecChunked the first loop runs
-// through the bulk stripe walker, so the race job covers walker-held
-// stripes racing ordinary striped access from the fold.
-func TestStripedDisjointElementWrites(t *testing.T) {
+// TestSharedArrayDisjointElementWrites drives an 8-process force
+// through a DOALL whose iterations write disjoint shared-array elements
+// in parallel, then folds the array to check no write was lost.  Under
+// ExecChunked the first loop runs through the chunk tier's typed
+// element stores, so the race job covers them against the fold's
+// per-iteration loads.
+func TestSharedArrayDisjointElementWrites(t *testing.T) {
 	for _, mode := range []ExecMode{ExecCompiled, ExecChunked} {
 		t.Run(mode.String(), func(t *testing.T) {
 			out := run(t, `Force DISJ of NP ident ME
@@ -53,10 +54,11 @@ Join
 	}
 }
 
-// TestStripedSameElementCriticalWrites hammers one element of a shared
-// array from every process inside a critical section: the stripe lock
-// and the construct lock compose without losing updates.
-func TestStripedSameElementCriticalWrites(t *testing.T) {
+// TestSharedArraySameElementCriticalWrites hammers one element of a
+// shared array from every process inside a critical section: the
+// element's atomic word and the construct lock compose without losing
+// updates.
+func TestSharedArraySameElementCriticalWrites(t *testing.T) {
 	out := run(t, `Force SAME of NP ident ME
 Shared Integer C(8)
 Private Integer I
@@ -129,7 +131,7 @@ Endsub
 	}
 }
 
-// TestSharedArrayDirect exercises the striped store below the language:
+// TestSharedArrayDirect exercises the array store below the language:
 // concurrent disjoint stores, then concurrent same-element updates under
 // an external mutex (the compiled Critical pattern), must never lose a
 // write or trip the race detector.
@@ -170,75 +172,80 @@ func TestSharedArrayDirect(t *testing.T) {
 	}
 }
 
-// TestStripeWalkerDirect hammers the bulk entry points the chunk tier
-// uses: eight goroutines, each with its own stripeWalker, sweep
-// disjoint strides of one array (ensure/storeAt re-acquiring stripes as
-// the offset crosses block boundaries) while another eight read the
-// same array through plain striped loads.  Every write must land and
-// the race detector must stay quiet.
-func TestStripeWalkerDirect(t *testing.T) {
-	d := forcelang.Decl{Class: shm.Shared, Type: forcelang.TInt, Name: "A", Dims: []int{4096}}
-	a := newSharedArray(d)
-	var wg sync.WaitGroup
-	for p := 0; p < 8; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			var w stripeWalker
-			defer w.release()
-			for i := p; i < 4096; i += 8 {
-				w.storeAt(a, i, intVal(int64(3*i)))
-			}
-		}(p)
-	}
-	for p := 0; p < 8; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; i < 4096; i += 8 {
-				_ = a.load(i)
-			}
-		}(p)
-	}
-	wg.Wait()
-	for i := 0; i < 4096; i++ {
-		if v := a.load(i); v.i != int64(3*i) {
-			t.Fatalf("a[%d] = %d, want %d", i, v.i, 3*i)
-		}
-	}
-}
-
-// TestStripeWalkerTwoArrays alternates one walker between two arrays on
-// every access — the worst case for the single-stripe-held invariant
-// (release A, acquire B, release B, acquire A, ...) — concurrently from
-// eight goroutines.  Deadlock-freedom is the property under test: the
-// walker never holds a stripe of one array while asking for another.
-func TestStripeWalkerTwoArrays(t *testing.T) {
-	mk := func(name string) *sharedArray {
-		return newSharedArray(forcelang.Decl{Class: shm.Shared, Type: forcelang.TInt, Name: name, Dims: []int{512}})
-	}
-	a, b := mk("A"), mk("B")
-	var wg sync.WaitGroup
-	for p := 0; p < 8; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			var w stripeWalker
-			defer w.release()
-			for i := p; i < 512; i += 8 {
-				w.storeAt(a, i, intVal(int64(i)))
-				w.storeAt(b, 511-i, intVal(int64(i)))
-				if v := w.loadAt(a, i); v.i != int64(i) {
-					t.Errorf("a[%d] = %d mid-walk", i, v.i)
+// TestSharedArrayTypedConcurrent drives the typed element accessors
+// the compilers emit, for each element type: eight writers store
+// disjoint strides through storeInt/storeReal/storeBool while eight
+// readers load every element through the typed loads and the boxed
+// load.  A reader must only ever see the zero word or the one value
+// its element's writer stores (no torn or foreign value), every write
+// must land, and the race detector must stay quiet.
+func TestSharedArrayTypedConcurrent(t *testing.T) {
+	const n = 4096
+	want := func(i int) float64 { return float64(3*i) + 0.5 }
+	for _, typ := range []forcelang.Type{forcelang.TInt, forcelang.TReal, forcelang.TLogical} {
+		t.Run(typ.String(), func(t *testing.T) {
+			a := newSharedArray(forcelang.Decl{Class: shm.Shared, Type: typ, Name: "A", Dims: []int{n}})
+			store := func(i int) {
+				switch typ {
+				case forcelang.TInt:
+					a.storeInt(i, int64(3*i))
+				case forcelang.TReal:
+					a.storeReal(i, want(i))
+				default:
+					a.storeBool(i, i%3 != 0)
 				}
 			}
-		}(p)
-	}
-	wg.Wait()
-	for i := 0; i < 512; i++ {
-		if a.load(i).i != int64(i) || b.load(511-i).i != int64(i) {
-			t.Fatalf("element %d lost", i)
-		}
+			// ok reports whether element i holds its zero value or its
+			// written value, read through the typed and the boxed load.
+			ok := func(i int) bool {
+				v := a.load(i)
+				switch typ {
+				case forcelang.TInt:
+					x := a.loadInt(i)
+					return (x == 0 || x == int64(3*i)) && v.t == typ && (v.i == 0 || v.i == int64(3*i))
+				case forcelang.TReal:
+					x := a.loadReal(i)
+					return (x == 0 || x == want(i)) && v.t == typ && (v.r == 0 || v.r == want(i))
+				default:
+					x := a.loadBool(i)
+					return (!x || i%3 != 0) && v.t == typ && (!v.b || i%3 != 0)
+				}
+			}
+			var wg sync.WaitGroup
+			var bad sync.Once
+			for p := 0; p < 8; p++ {
+				wg.Add(2)
+				go func(p int) {
+					defer wg.Done()
+					for i := p; i < n; i += 8 {
+						store(i)
+					}
+				}(p)
+				go func(p int) {
+					defer wg.Done()
+					for i := (p * 97) % n; i < n; i++ {
+						if !ok(i) {
+							bad.Do(func() { t.Errorf("element %d read a value never stored", i) })
+						}
+					}
+				}(p)
+			}
+			wg.Wait()
+			for i := 0; i < n; i++ {
+				var got, exp value
+				switch typ {
+				case forcelang.TInt:
+					got, exp = intVal(a.loadInt(i)), intVal(int64(3*i))
+				case forcelang.TReal:
+					got, exp = realVal(a.loadReal(i)), realVal(want(i))
+				default:
+					got, exp = boolVal(a.loadBool(i)), boolVal(i%3 != 0)
+				}
+				if got != exp || a.load(i) != exp {
+					t.Fatalf("element %d = %v (boxed %v), want %v", i, got, a.load(i), exp)
+				}
+			}
+		})
 	}
 }
 

@@ -13,9 +13,10 @@
 // (S = S + e | S = e + S | S = S - e), literal constant folding, the
 // position-independent structural key used to compare subscript forms,
 // and the affine-subscript disjointness proof over a one- or two-index
-// iteration space (one canonical form per array, literal coefficients,
-// injective on the index space: a nonzero coefficient for one index, a
-// nonsingular 2x2 minor for two).
+// iteration space (literal coefficients throughout: for one index, one
+// subscript position with a single form across all accesses and a
+// nonzero index coefficient; for two, one canonical form per array with
+// a nonsingular 2x2 minor).
 package uniform
 
 import (
@@ -346,13 +347,33 @@ func (sp *Space) Coef(e forcelang.Expr) (ci, cj int64, ok bool) {
 	return 0, 0, false
 }
 
-// Disjoint checks the one-form + affine + injective conditions over all
-// recorded accesses of one array: every access must use one identical
-// subscript form (by Canon), each subscript must decompose affinely
-// over the space, and the form must map distinct index tuples to
-// distinct elements — a nonzero index coefficient for a one-index
-// space, some linearly independent pair of subscript rows for two.
+// Disjoint reports whether the recorded accesses of one array touch
+// distinct elements in distinct iterations.
+//
+// One index: some subscript position must carry one identical form (by
+// Canon) in every access, affine over the space with a nonzero outer
+// coefficient.  That position then takes a distinct value in each
+// iteration, so no element is shared across iterations whatever the
+// other positions hold: A(I,J) with J a sequential DO index inside the
+// loop body touches row I only.  The other positions may differ
+// between accesses or be non-affine.
+//
+// Two indices: every access must use one identical subscript form, each
+// subscript must decompose affinely, and some pair of subscript rows
+// must be linearly independent, so the form maps distinct index pairs
+// to distinct elements.
 func (sp *Space) Disjoint(refs []*forcelang.Ref) bool {
+	if len(refs) == 0 {
+		return false
+	}
+	if sp.Inner == "" {
+		for k := range refs[0].Subs {
+			if sp.rowDisjoint(refs, k) {
+				return true
+			}
+		}
+		return false
+	}
 	form := ""
 	var coefs [][2]int64
 	for ri, r := range refs {
@@ -377,16 +398,8 @@ func (sp *Space) Disjoint(refs []*forcelang.Ref) bool {
 			return false
 		}
 	}
-	if sp.Inner == "" {
-		for _, c := range coefs {
-			if c[0] != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	// Two loop indices: some pair of subscript rows must be linearly
-	// independent for the index pair to map injectively to elements.
+	// Some pair of subscript rows must be linearly independent for the
+	// index pair to map injectively to elements.
 	for a := 0; a < len(coefs); a++ {
 		for b := a + 1; b < len(coefs); b++ {
 			if coefs[a][0]*coefs[b][1]-coefs[a][1]*coefs[b][0] != 0 {
@@ -395,4 +408,17 @@ func (sp *Space) Disjoint(refs []*forcelang.Ref) bool {
 		}
 	}
 	return false
+}
+
+// rowDisjoint reports whether subscript position k has one form across
+// all refs that is affine in the outer index with a nonzero coefficient.
+func (sp *Space) rowDisjoint(refs []*forcelang.Ref, k int) bool {
+	form := Canon(refs[0].Subs[k])
+	for _, r := range refs[1:] {
+		if len(r.Subs) != len(refs[0].Subs) || Canon(r.Subs[k]) != form {
+			return false
+		}
+	}
+	ci, _, ok := sp.Coef(refs[0].Subs[k])
+	return ok && ci != 0
 }

@@ -163,3 +163,32 @@ func TestDisjoint(t *testing.T) {
 		t.Error("B(I+J,I+J) is singular, not injective")
 	}
 }
+
+// TestDisjointRow pins the one-index row rule: a subscript position
+// with one form across all accesses and a nonzero outer coefficient
+// proves disjointness whatever the other positions hold.
+func TestDisjointRow(t *testing.T) {
+	one := &Space{Outer: "I", IntScalar: intScalars("N")}
+	// C(I,J), C(I,K): J and K are not admitted scalars (written in the
+	// body), but row I is iteration I's alone.
+	if !one.Disjoint([]*forcelang.Ref{ref("C", ref("I"), ref("J")), ref("C", ref("I"), ref("K"))}) {
+		t.Error("C(I,J) with C(I,K) is row-disjoint in I")
+	}
+	// The row may sit in the second position too.
+	if !one.Disjoint([]*forcelang.Ref{ref("C", ref("J"), bin(forcelang.OpAdd, ref("I"), ref("N")))}) {
+		t.Error("C(J,I+N) is column-disjoint in I")
+	}
+	// A(I,J) mixed with A(J,I): no position keeps one form.
+	if one.Disjoint([]*forcelang.Ref{ref("A", ref("I"), ref("J")), ref("A", ref("J"), ref("I"))}) {
+		t.Error("A(I,J) with A(J,I) must stay non-disjoint")
+	}
+	// A(MOD(I,2)+1,J): the shared position is not affine.
+	mod := &forcelang.Intrinsic{Name: "MOD", Args: []forcelang.Expr{ref("I"), intLit(2)}}
+	if one.Disjoint([]*forcelang.Ref{ref("A", bin(forcelang.OpAdd, mod, intLit(1)), ref("J"))}) {
+		t.Error("A(MOD(I,2)+1,J) must stay non-disjoint")
+	}
+	// A(N,I) with A(N,J): the shared position has no index coefficient.
+	if one.Disjoint([]*forcelang.Ref{ref("A", ref("N"), ref("I")), ref("A", ref("N"), ref("J"))}) {
+		t.Error("A(N,I) with A(N,J) must stay non-disjoint")
+	}
+}

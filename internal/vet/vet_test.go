@@ -412,6 +412,66 @@ Join
 	}
 }
 
+// TestFV101RowDisjointIsClean is the dense matrix-product shape: every
+// access to C, A and B inside the one-index DOALL keeps I in the first
+// subscript, while the second is a sequential DO index.  Row I belongs
+// to iteration I alone, so nothing races.
+func TestFV101RowDisjointIsClean(t *testing.T) {
+	diags := analyzeSrc(t, `Force T of NP ident ME
+Shared Real A(8, 8), B(8, 8), C(8, 8)
+Private Integer I, J, K
+Private Real S
+End Declarations
+Presched DO I = 1, 8
+  DO J = 1, 8
+    A(I, J) = REAL(I + J)
+    B(I, J) = REAL(I - J)
+  End DO
+End Presched DO
+Presched DO I = 1, 8
+  DO J = 1, 8
+    S = 0.0
+    DO K = 1, 8
+      S = S + A(I, K) * B(I, K)
+    End DO
+    C(I, J) = S
+  End DO
+End Presched DO
+Join
+`)
+	if len(diags) != 0 {
+		t.Errorf("row-disjoint accesses should be clean:\n%s", renderAll(diags))
+	}
+}
+
+// TestFV101RowDisjointNegatives: no subscript position with one form
+// and a nonzero index coefficient means no proof.  A(I,J) mixed with
+// A(J,I) reads row J, which another iteration writes; A(MOD(I,2)+1,J)
+// folds every iteration onto two rows.
+func TestFV101RowDisjointNegatives(t *testing.T) {
+	for name, body := range map[string]string{
+		"transposed": "A(I, J) = A(J, I) + 1.0",
+		"non-affine": "A(MOD(I, 2) + 1, J) = REAL(I)",
+	} {
+		t.Run(name, func(t *testing.T) {
+			diags := analyzeSrc(t, `Force T of NP ident ME
+Shared Real A(8, 8)
+Private Integer I, J
+End Declarations
+Presched DO I = 1, 8
+  DO J = 1, 8
+    `+body+`
+  End DO
+End Presched DO
+Join
+`)
+			if got := codeLines(diags); got != "FV101@7" {
+				t.Errorf("got %q, want FV101@7\n%s", got, renderAll(diags))
+			}
+		})
+	}
+}
+
 func TestFV101AskforBody(t *testing.T) {
 	diags := analyzeSrc(t, `Force T of NP ident ME
 Shared Real S
